@@ -395,7 +395,7 @@ class LinearOperator:
 
     def _validate(self) -> None:
         if self.kind == "unitary":
-            prod = np.einsum("...ji,...jk->...ik", self.matrix.conj(), self.matrix)
+            prod = np.swapaxes(self.matrix.conj(), -1, -2) @ self.matrix
             eye = np.eye(self.register.dim)
             dev = np.abs(prod - eye).max()
             if dev > NORM_ATOL:

@@ -9,7 +9,8 @@ particles between each mode and a resolved reservoir mode:
         - sum_i omega_i/2 (a_i^+ a_res + a_res^+ a_i)
 
 Units use hbar = 1 throughout; times are meaningful only as products with
-the named couplings.  Evolution is exact via Hermitian eigendecomposition.
+the named couplings.  Evolution is exact by eigendecomposition of each
+total-number sector, so the generator must conserve particle number.
 
 The two scans in this module quantify the two idealizations behind the gate
 library: the hard-core limit that turns tunneling into a fermionic-style
@@ -32,7 +33,6 @@ from .fock import (
     basis_state,
     build_register,
     embed_and_apply,
-    ladder_operator,
     partial_trace,
     tensor,
     trace_distance,
@@ -49,7 +49,7 @@ class HamiltonianParams:
     a/A respectively (modes a and B never share a tunneling term).  ``u``,
     ``e`` and ``omega`` map mode labels to on-site interaction, bias energy
     and reservoir exchange coupling; ``omega`` requires ``reservoir`` to
-    name the resolved reservoir mode.
+    name the resolved reservoir mode, which it may not couple to itself.
     """
 
     j_ab: float = 0.0
@@ -69,13 +69,22 @@ class HamiltonianParams:
                     raise ValueError(f"{name}[{label!r}] must be finite")
         if self.omega and self.reservoir is None:
             raise ValueError("omega couplings need a reservoir")
+        if self.reservoir is not None and self.reservoir.label in self.omega:
+            raise ValueError("omega cannot couple the reservoir mode to itself")
 
 
-def _hop_term(register: ModeRegister, left: str, right: str) -> np.ndarray:
-    create = ladder_operator(register, left, "create").matrix
-    annihilate = ladder_operator(register, right, "annihilate").matrix
-    term = create @ annihilate
-    return term + term.conj().T
+def _add_hop(
+    matrix: np.ndarray, register: ModeRegister, coupling: float, left: str, right: str
+) -> None:
+    """Add -coupling/2 (a_left^+ a_right + h.c.) to ``matrix`` in place."""
+    l, r = register.position(left), register.position(right)
+    occ = register.occupations
+    src = np.flatnonzero((occ[:, r] > 0) & (occ[:, l] < register.dims[l] - 1))
+    stride = [int(np.prod(register.dims[p + 1 :], initial=1)) for p in (l, r)]
+    dst = src + stride[0] - stride[1]
+    values = -0.5 * coupling * (np.sqrt(occ[src, l] + 1.0) * np.sqrt(occ[src, r]))
+    matrix[dst, src] += values
+    matrix[src, dst] += values
 
 
 def build_hamiltonian(
@@ -89,31 +98,47 @@ def build_hamiltonian(
     """
     matrix = np.zeros((register.dim, register.dim), dtype=np.complex128)
     if params.j_ab != 0.0:
-        matrix += -0.5 * params.j_ab * _hop_term(register, "A", "B")
+        _add_hop(matrix, register, params.j_ab, "A", "B")
     if params.j_aa != 0.0:
-        matrix += -0.5 * params.j_aa * _hop_term(register, "a", "A")
+        _add_hop(matrix, register, params.j_aa, "a", "A")
+    diagonal = np.arange(register.dim)
     for label, u_i in params.u.items():
-        n = ladder_operator(register, label, "number").matrix
-        matrix += u_i * (n @ n - n)
+        n = register.occupations[:, register.position(label)]
+        matrix[diagonal, diagonal] += u_i * (n * n - n)
     for label, e_i in params.e.items():
-        matrix += e_i * ladder_operator(register, label, "number").matrix
+        n = register.occupations[:, register.position(label)]
+        matrix[diagonal, diagonal] += e_i * n
     if params.omega:
         res_label = params.reservoir.label
         for label, omega_i in params.omega.items():
             if omega_i != 0.0:
-                matrix += -0.5 * omega_i * _hop_term(register, label, res_label)
+                _add_hop(matrix, register, omega_i, label, res_label)
     return LinearOperator(register, matrix, kind="hermitian")
 
 
 def propagator(hamiltonian: LinearOperator, t: float) -> LinearOperator:
-    """Unitary exp(-i H t), via eigendecomposition of H."""
+    """Unitary exp(-i H t), exact by eigendecomposition of each number sector.
+
+    H must be Hermitian and conserve total particle number: any entry above
+    ``HERM_ATOL`` between two total-number sectors is rejected.
+    """
     if hamiltonian.grids:
         raise ValueError("Hamiltonians must not carry phase symbols")
-    dev = np.abs(hamiltonian.matrix - hamiltonian.matrix.conj().T).max()
+    h = hamiltonian.matrix
+    dev = np.abs(h - h.conj().T).max()
     if dev > HERM_ATOL:
         raise ValueError(f"Hamiltonian is not Hermitian: deviation {dev:.3e}")
-    w, v = np.linalg.eigh(hamiltonian.matrix)
-    u = (v * np.exp(-1j * w * t)) @ v.conj().T
+    sectors = hamiltonian.register.total_numbers
+    leak = np.abs(np.where(sectors[:, None] != sectors, h, 0.0)).max()
+    if leak > HERM_ATOL:
+        raise ValueError(f"Hamiltonian changes particle number: off-sector entry {leak:.3e}")
+    u = np.zeros_like(h)
+    # A full product basis holds every total from 0 to the maximum.
+    for n in range(sectors.max() + 1):
+        idx = np.flatnonzero(sectors == n)
+        block = np.ix_(idx, idx)
+        w, v = np.linalg.eigh(h[block])
+        u[block] = (v * np.exp(-1j * w * t)) @ v.conj().T
     return LinearOperator(hamiltonian.register, u, kind="unitary")
 
 
@@ -122,7 +147,7 @@ def evolve(state: QuantumState, hamiltonian: LinearOperator, t: float) -> Quantu
     if hamiltonian.register != state.register:
         raise ValueError("Hamiltonian register does not match the state register")
     if t == 0.0:
-        # Still reject a non-Hermitian generator.
+        # Still reject a non-Hermitian or number-changing generator.
         propagator(hamiltonian, t)
         return state
     return embed_and_apply(state, propagator(hamiltonian, t))
@@ -238,7 +263,7 @@ def rotation_deviation(nbar: float, theta: float = 0.0) -> float:
     """
     if nbar <= 0:
         raise ValueError("nbar must be positive")
-    cutoff = int(math.ceil(nbar + 10.0 * math.sqrt(nbar)))
+    cutoff = max(2, int(math.ceil(nbar + 10.0 * math.sqrt(nbar))))
     spec = ReservoirSpec("res", nbar, cutoff)
     res_state, _ = coherent_state(spec, theta)
     probe = build_register([("probe", 2)])

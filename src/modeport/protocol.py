@@ -37,7 +37,6 @@ from .fock import (
     build_register,
     embed_and_apply,
     fidelity,
-    from_amplitudes,
     measure_number,
     partial_trace,
     trace_distance,

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -101,6 +102,14 @@ class TestExecution:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "nbar,deviation"
         assert len(lines) == 2
+
+    def test_reservoir_tiny_nbar(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        code = main(["reservoir", "--nbars", "0.0001", "--out", str(out)])
+        assert code == 0
+        nbar, dev = out.read_text().strip().splitlines()[1].split(",")
+        assert float(nbar) == 0.0001
+        assert math.isfinite(float(dev))
 
     def test_densecoding_round_trip(self, tmp_path):
         out = tmp_path / "dense.json"

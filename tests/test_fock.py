@@ -450,6 +450,19 @@ class TestStateInvariants:
         with pytest.raises(ValueError, match="unitary"):
             LinearOperator(reg, np.array([[1.0, 0.0], [0.0, 2.0]]), kind="unitary")
 
+    def test_gridded_operator_unitary_at_every_point(self):
+        # One bad grid point among 3 x 4 must be caught by the batched check.
+        rng = np.random.default_rng(5)
+        reg = build_register([("A", 3)])
+        grids = (PhaseGrid("phi", 3), PhaseGrid("theta", 4))
+        matrix = np.stack(
+            [random_unitary(rng, 3) for _ in range(12)]
+        ).reshape(3, 4, 3, 3)
+        LinearOperator(reg, matrix, kind="unitary", grids=grids, fourier_order=(1, 1))
+        matrix[2, 1, :, 0] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="not unitary"):
+            LinearOperator(reg, matrix, kind="unitary", grids=grids, fourier_order=(1, 1))
+
 
 class TestPhaseGridStates:
     def test_gridded_state_roundtrip(self):

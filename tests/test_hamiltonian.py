@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from modeport.fock import (
+    LinearOperator,
     QuantumState,
     basis_state,
     build_register,
@@ -14,6 +15,7 @@ from modeport.hamiltonian import (
     build_hamiltonian,
     evolve,
     hardcore_limit_scan,
+    propagator,
     reservoir_resolved_rotation,
     rotation_deviation,
     swap_process_fidelity,
@@ -159,11 +161,50 @@ class TestEvolve:
 
     def test_non_hermitian_rejected(self):
         reg = build_register([("m", 2)])
-        from modeport.fock import LinearOperator
-
         bad = LinearOperator(reg, np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="Hermitian"):
             evolve(basis_state(reg, (0,)), bad, 1.0)
+
+
+def random_number_conserving_hermitian(rng, reg):
+    """Random Hermitian matrix with every entry between total-n sectors zeroed."""
+    z = rng.standard_normal((reg.dim, reg.dim)) + 1j * rng.standard_normal((reg.dim, reg.dim))
+    h = z + z.conj().T
+    h[reg.total_numbers[:, None] != reg.total_numbers] = 0.0
+    return h
+
+
+class TestSectorPropagator:
+    @pytest.mark.parametrize(
+        "modes",
+        [[("a", 3), ("A", 2), ("B", 3)], [("probe", 2), ("res", 12)]],
+        ids=["three_modes", "probe_reservoir"],
+    )
+    def test_matches_dense_eigh_oracle(self, modes):
+        rng = np.random.default_rng(31)
+        reg = build_register(modes)
+        h = random_number_conserving_hermitian(rng, reg)
+        for t in (0.0, 0.41, 3.7):
+            w, v = np.linalg.eigh(h)
+            oracle = (v * np.exp(-1j * w * t)) @ v.conj().T
+            u = propagator(LinearOperator(reg, h, kind="hermitian"), t)
+            np.testing.assert_allclose(u.matrix, oracle, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_number_changing_generator_rejected(self, t):
+        # a + a^+ on one mode is Hermitian but couples sectors n and n + 1.
+        reg = build_register([("m", 3), ("r", 2)])
+        create = ladder_operator(reg, "m", "create").matrix
+        h = LinearOperator(reg, create + create.conj().T, kind="hermitian")
+        with pytest.raises(ValueError, match="particle number"):
+            propagator(h, t)
+        with pytest.raises(ValueError, match="particle number"):
+            evolve(basis_state(reg, (0, 0)), h, t)
+
+    def test_reservoir_self_coupling_rejected(self):
+        spec = ReservoirSpec("res", 4.0, cutoff=24)
+        with pytest.raises(ValueError, match="itself"):
+            HamiltonianParams(omega={"res": 1.0}, reservoir=spec)
 
 
 class TestHardcoreScan:
