@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -139,7 +140,12 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         )
     if config.n < 1:
         parser.error("--n must be at least 1")
+    for name in ("theta_prime", "phi"):
+        if not math.isfinite(getattr(config, name)):
+            parser.error(f"--{name.replace('_', '-')} must be finite")
     for name, values in (("ratios", config.ratios), ("nbars", config.nbars)):
+        if not all(math.isfinite(v) for v in values):
+            parser.error(f"--{name} must be finite")
         if not values or list(values) != sorted(values):
             parser.error(f"--{name} must be a non-empty ascending list")
         if any(v <= 0 for v in values):

@@ -439,15 +439,10 @@ def ladder_operator(register: ModeRegister, mode: str, which: str) -> LinearOper
     return LinearOperator(register, matrix, kind=kind)
 
 
-def embed_matrix(
-    register: ModeRegister, op_register: ModeRegister, matrix: np.ndarray
-) -> np.ndarray:
-    """Embed a matrix on a sub-register into the full register's basis.
-
-    ``matrix`` may carry leading grid axes; they are preserved.
-    """
+def _modes_last(register: ModeRegister, sub: ModeRegister) -> list[int]:
+    """Mode positions of ``register``, untouched modes first, then ``sub``'s in its order."""
     positions = []
-    for label, dim in op_register.modes:
+    for label, dim in sub.modes:
         p = register.position(label)
         if register.dims[p] != dim:
             raise ValueError(
@@ -457,55 +452,72 @@ def embed_matrix(
         positions.append(p)
     if len(set(positions)) != len(positions):
         raise ValueError("operator register repeats a mode")
-    rest = [p for p in range(register.n_modes) if p not in positions]
+    return [p for p in range(register.n_modes) if p not in positions] + positions
 
-    occ = register.occupations
-    sub_dims = [register.dims[p] for p in positions]
-    sub_idx = np.ravel_multi_index([occ[:, p] for p in positions], sub_dims)
-    if rest:
-        rest_dims = [register.dims[p] for p in rest]
-        rest_idx = np.ravel_multi_index([occ[:, p] for p in rest], rest_dims)
-        d_rest = int(np.prod(rest_dims))
-    else:
-        rest_idx = np.zeros(register.dim, dtype=np.int64)
-        d_rest = 1
-    perm = sub_idx * d_rest + rest_idx
 
-    eye = np.eye(d_rest)
-    big = np.einsum("...ij,kl->...ikjl", matrix, eye)
+def _permute_modes(
+    data: np.ndarray, dims: Sequence[int], order: Sequence[int], copies: int
+) -> np.ndarray:
+    """Reorder the modes inside each of the last ``copies`` basis axes of ``data``.
+
+    Each basis axis is viewed as one axis per mode (sizes ``dims``), the mode
+    axes are put in ``order`` and merged back, so the shape is unchanged.
+    """
+    lead = data.ndim - copies
+    n = len(dims)
+    split = data.reshape(data.shape[:lead] + tuple(dims) * copies)
+    axes = [*range(lead), *(lead + c * n + p for c in range(copies) for p in order)]
+    return split.transpose(axes).reshape(data.shape)
+
+
+def embed_matrix(
+    register: ModeRegister, op_register: ModeRegister, matrix: np.ndarray
+) -> np.ndarray:
+    """Embed a matrix on a sub-register into the full register's basis.
+
+    ``matrix`` may carry leading grid axes; they are preserved.
+    """
+    order = _modes_last(register, op_register)
+    eye = np.eye(register.dim // op_register.dim)
+    big = np.einsum("...ij,kl->...kilj", matrix, eye)
     big = big.reshape(matrix.shape[:-2] + (register.dim, register.dim))
-    return big[..., perm[:, None], perm[None, :]]
+    return _permute_modes(big, [register.dims[p] for p in order], np.argsort(order), 2)
 
 
 def embed_and_apply(
     state: QuantumState, op: LinearOperator, renormalize: bool = False
 ) -> QuantumState:
-    """Apply an operator, tensoring it with the identity on untouched modes.
+    """Apply an operator to its own modes, as the identity on the others.
 
-    Phase-grid axes are aligned by symbol and applied pointwise.  With
-    ``renormalize`` the result is rescaled to unit norm per grid point, which
-    is how norm loss from non-unitary operators (truncated creation, for
-    instance) is absorbed explicitly; without it, a non-norm-preserving
-    result fails state validation.
+    The state's mode axes are moved so the operator's modes come last, in
+    operator-register order, and only those are contracted with its matrix;
+    a full-register operator is the case with no other modes.  Phase-grid
+    axes are aligned by symbol and applied pointwise.  With ``renormalize``
+    the result is rescaled to unit norm per grid point, which is how norm
+    loss from non-unitary operators (truncated creation, for instance) is
+    absorbed explicitly; without it, a non-norm-preserving result fails
+    state validation.
     """
-    if op.register == state.register:
-        matrix = op.matrix
-    else:
-        matrix = embed_matrix(state.register, op.register, op.matrix)
+    register = state.register
+    order = _modes_last(register, op.register)
+    d_sub = op.register.dim
+    d_rest = register.dim // d_sub
+    copies = 1 if state.is_pure else 2
 
     grids, orders = _merge_grids(
         state.grids, state.fourier_order, op.grids, op.fourier_order
     )
     symbols = tuple(g.symbol for g in grids)
-    mat = _expand_axes(matrix, op.phase_symbols, symbols)
+    mat = _expand_axes(op.matrix, op.phase_symbols, symbols)
+    data = _expand_axes(state.data, state.phase_symbols, symbols)
+    data = _permute_modes(data, register.dims, order, copies)
+    data = data.reshape(data.shape[: len(symbols)] + (d_rest, d_sub) * copies)
     if state.is_pure:
-        data = _expand_axes(state.data, state.phase_symbols, symbols)
-        out = np.einsum("...ij,...j->...i", mat, data)
+        out = np.einsum("...ij,...rj->...ri", mat, data)
     else:
-        data = _expand_axes(state.data, state.phase_symbols, symbols)
-        out = np.einsum("...ij,...jk,...lk->...il", mat, data, mat.conj())
-    shape = tuple(g.n_points for g in grids)
-    out = np.broadcast_to(out, shape + out.shape[len(shape) :]).copy()
+        out = np.einsum("...ij,...rjsk,...lk->...risl", mat, data, mat.conj())
+    out = out.reshape(out.shape[: len(symbols)] + (register.dim,) * copies)
+    out = _permute_modes(out, [register.dims[p] for p in order], np.argsort(order), copies)
 
     if renormalize:
         if state.is_pure:
@@ -518,38 +530,31 @@ def embed_and_apply(
             if tr.max() < PROB_FLOOR:
                 raise ValueError("operator annihilated the state everywhere")
             out = np.where(tr > PROB_FLOOR, out / np.maximum(tr, PROB_FLOOR), 0.0)
-    return QuantumState(state.register, out, grids=grids, fourier_order=orders)
+    return QuantumState(register, out, grids=grids, fourier_order=orders)
 
 
 def partial_trace(state: QuantumState, keep: Sequence[str]) -> QuantumState:
-    """Reduced density matrix on ``keep``, in the register's mode order."""
+    """Reduced density matrix on ``keep``, in the register's mode order.
+
+    The kept modes' axes are moved last and the rest are summed out; a pure
+    state is contracted with its conjugate directly, so the full density
+    matrix is never formed and the register may have any number of modes.
+    """
     keep = list(keep)
     if not keep:
         raise ValueError("keep must name at least one mode")
     if len(set(keep)) != len(keep):
         raise ValueError("keep repeats a mode label")
-    keep_positions = sorted(state.register.position(label) for label in keep)
-
-    rho = state.density_data()
-    dims = state.register.dims
-    n = state.register.n_modes
-    grid_shape = state.grid_shape
-    rho = rho.reshape(grid_shape + dims + dims)
-
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    if 2 * n > len(letters):
-        raise ValueError("register too large for partial trace")
-    row = list(letters[:n])
-    col = [
-        letters[n + i] if i in keep_positions else letters[i] for i in range(n)
-    ]
-    out_row = "".join(row[i] for i in keep_positions)
-    out_col = "".join(col[i] for i in keep_positions)
-    spec = "..." + "".join(row) + "".join(col) + "->..." + out_row + out_col
-    reduced = np.einsum(spec, rho)
-
-    sub = state.register.restricted(keep)
-    reduced = reduced.reshape(grid_shape + (sub.dim, sub.dim))
+    register = state.register
+    sub = register.restricted(keep)
+    order = _modes_last(register, sub)
+    copies = 1 if state.is_pure else 2
+    data = _permute_modes(state.data, register.dims, order, copies)
+    data = data.reshape(state.grid_shape + (register.dim // sub.dim, sub.dim) * copies)
+    if state.is_pure:
+        reduced = np.einsum("...ri,...rj->...ij", data, data.conj())
+    else:
+        reduced = np.einsum("...rirj->...ij", data)
     return QuantumState(
         sub, reduced, grids=state.grids, fourier_order=state.fourier_order
     )

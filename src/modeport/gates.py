@@ -1,10 +1,11 @@
 """Idealized gate set on qubit modes (occupation 0 or 1).
 
-All gates are exact unitaries built on the full register and act as the
-identity on untouched modes.  The hopping gate comes in two phase
-conventions, ``raw`` (exact tunneling evolution) and ``bell`` (raw followed
-by a fixed local phase so the quarter hop lands exactly on the symmetric
-Bell state); see :func:`hopping_gate`.  The reservoir-assisted rotation
+All gates are exact unitaries that act on their target modes: each is a
+small matrix on a register of just those modes, and ``embed_and_apply``
+leaves the state's other modes untouched.  The hopping gate comes in two
+phase conventions, ``raw`` (exact tunneling evolution) and ``bell`` (raw
+followed by a fixed local phase so the quarter hop lands exactly on the
+symmetric Bell state); see :func:`hopping_gate`.  The reservoir-assisted rotation
 carries the reservoir phase as a :class:`PhaseGrid` symbol and is
 instantiated at every grid point.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import LinearOperator, ModeRegister, PhaseGrid, embed_matrix
+from .fock import LinearOperator, ModeRegister, PhaseGrid
 
 
 def _qubit_subregister(register: ModeRegister, *labels: str) -> ModeRegister:
@@ -34,8 +35,7 @@ def phase_gate(register: ModeRegister, mode: str, angle: float) -> LinearOperato
     """
     sub = _qubit_subregister(register, mode)
     small = np.diag([1.0, np.exp(1j * angle)]).astype(np.complex128)
-    full = embed_matrix(register, sub, small)
-    return LinearOperator(register, full, kind="unitary")
+    return LinearOperator(sub, small, kind="unitary")
 
 
 def number_rotation_matrix(theta_prime: float, theta: float | np.ndarray) -> np.ndarray:
@@ -71,10 +71,7 @@ def number_rotation_gate(
     """
     sub = _qubit_subregister(register, mode)
     small = number_rotation_matrix(theta_prime, grid.points)
-    full = embed_matrix(register, sub, small)
-    return LinearOperator(
-        register, full, kind="unitary", grids=(grid,), fourier_order=(1,)
-    )
+    return LinearOperator(sub, small, kind="unitary", grids=(grid,), fourier_order=(1,))
 
 
 def fermionic_swap_gate(
@@ -93,8 +90,7 @@ def fermionic_swap_gate(
     small[2, 1] = 1.0  # |01> -> |10>
     small[1, 2] = 1.0  # |10> -> |01>
     small[3, 3] = -1.0
-    full = embed_matrix(register, sub, small)
-    return LinearOperator(register, full, kind="unitary")
+    return LinearOperator(sub, small, kind="unitary")
 
 
 def hopping_gate(
@@ -131,5 +127,4 @@ def hopping_gate(
     if convention == "bell":
         correction = np.diag([1.0, -1j, 1.0, -1j]).astype(np.complex128)
         small = correction @ small
-    full = embed_matrix(register, sub, small)
-    return LinearOperator(register, full, kind="unitary")
+    return LinearOperator(sub, small, kind="unitary")

@@ -216,10 +216,10 @@ def swap_process_fidelity(u_over_j: float) -> float:
         j_ab=2.0 * g, u={"A": u_over_j * g, "B": u_over_j * g}
     )
     hamiltonian = build_hamiltonian(register, params)
-    t = np.pi / (2.0 * g)
+    pulse = propagator(hamiltonian, np.pi / (2.0 * g))
     amps = {}
     for occ_in, (occ_out, sign) in _SWAP_TARGETS.items():
-        evolved = evolve(basis_state(register, occ_in), hamiltonian, t)
+        evolved = embed_and_apply(basis_state(register, occ_in), pulse)
         amps[occ_in] = sign * evolved.data[register.index_of(occ_out)]
     best = _max_abs_over_local_phases(
         amps[(0, 0)], amps[(0, 1)], amps[(1, 0)], amps[(1, 1)]

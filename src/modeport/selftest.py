@@ -225,7 +225,7 @@ def _structural_checks(grid_points: int) -> CriterionResult:
         hopping_gate(qubits, "a", "A", np.pi / 4, convention="bell"),
     ):
         prod = np.einsum("...ji,...jk->...ik", gate.matrix.conj(), gate.matrix)
-        gate_dev = max(gate_dev, float(np.abs(prod - np.eye(qubits.dim)).max()))
+        gate_dev = max(gate_dev, float(np.abs(prod - np.eye(gate.register.dim)).max()))
     if gate_dev > 1e-12:
         problems.append(f"gate unitarity residual {gate_dev:.3e}")
 

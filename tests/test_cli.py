@@ -49,6 +49,40 @@ class TestParsing:
         assert config.theta_prime == pytest.approx(0.25)
         assert config.phi == pytest.approx(2.5)  # flag wins
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("teleport", "--theta-prime"),
+            ("teleport", "--phi"),
+            ("hardcore", "--ratios"),
+            ("reservoir", "--nbars"),
+        ],
+    )
+    def test_non_finite_flag_exits_2(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value])
+        assert exc.value.code == 2
+        assert f"{flag} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "command,key",
+        [
+            ("teleport", "theta_prime"),
+            ("teleport", "phi"),
+            ("hardcore", "ratios"),
+            ("reservoir", "nbars"),
+        ],
+    )
+    def test_non_finite_config_value_exits_2(self, tmp_path, command, key, value, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_malformed_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just some words\n")

@@ -19,12 +19,24 @@ from modeport.fock import (
     tensor,
     trace_distance,
 )
+from modeport.gates import hopping_gate
 
 
 def random_unitary(rng, d):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_pure(rng, d):
+    vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return vec / np.linalg.norm(vec)
+
+
+def random_density(rng, d):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = z @ z.conj().T
+    return rho / np.trace(rho)
 
 
 class TestRegister:
@@ -166,6 +178,55 @@ class TestEmbedding:
         oracle = naive_embedding(reg, target, small)
         np.testing.assert_allclose(embedded, oracle, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "modes,target",
+        [
+            ([("a", 2), ("b", 2), ("c", 2), ("d", 2)], ("d", "b")),
+            ([("a", 2), ("b", 3), ("c", 2)], ("b",)),
+            ([("a", 2), ("b", 2), ("c", 3)], ("c", "a")),
+        ],
+    )
+    def test_application_matches_naive_oracle(self, modes, target):
+        rng = np.random.default_rng(12)
+        reg = build_register(modes)
+        sub = ModeRegister((l, reg.dims[reg.position(l)]) for l in target)
+        op = LinearOperator(sub, random_unitary(rng, sub.dim), kind="unitary")
+        full = naive_embedding(reg, target, op.matrix)
+        pure = random_pure(rng, reg.dim)
+        out = embed_and_apply(QuantumState(reg, pure), op)
+        np.testing.assert_allclose(out.data, full @ pure, atol=1e-12)
+        rho = random_density(rng, reg.dim)
+        out = embed_and_apply(QuantumState(reg, rho), op)
+        np.testing.assert_allclose(out.data, full @ rho @ full.conj().T, atol=1e-12)
+
+    def test_gridded_application_matches_naive_oracle(self):
+        # The operator carries "phi" and the state "theta": the result runs
+        # over both grids, sorted by symbol, and matches the oracle pointwise.
+        rng = np.random.default_rng(14)
+        reg = build_register([("a", 2), ("b", 2), ("c", 3)])
+        target = ("c", "a")
+        sub = ModeRegister((l, reg.dims[reg.position(l)]) for l in target)
+        phi, theta = PhaseGrid("phi", 3), PhaseGrid("theta", 4)
+        op = LinearOperator(
+            sub,
+            np.stack([random_unitary(rng, sub.dim) for _ in range(3)]),
+            kind="unitary",
+            grids=(phi,),
+            fourier_order=(1,),
+        )
+        full = np.stack([naive_embedding(reg, target, m) for m in op.matrix])
+        pure = np.stack([random_pure(rng, reg.dim) for _ in range(4)])
+        rho = np.stack([random_density(rng, reg.dim) for _ in range(4)])
+        for data, expected in (
+            (pure, np.einsum("pij,tj->pti", full, pure)),
+            (rho, np.einsum("pij,tjk,plk->ptil", full, rho, full.conj())),
+        ):
+            state = QuantumState(reg, data, grids=(theta,), fourier_order=(1,))
+            out = embed_and_apply(state, op)
+            assert out.phase_symbols == ("phi", "theta")
+            assert out.fourier_order == (1, 1)
+            np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
     def test_split_pair_state(self):
         # ((a+_A + a+_B)/sqrt(2))^2 on vacuum, normalized per application:
         # amplitudes (1/2, sqrt(2)/2, 1/2) on |20>, |11>, |02>.
@@ -283,6 +344,33 @@ class TestPartialTrace:
         state = QuantumState(reg, vec / np.linalg.norm(vec))
         reduced = partial_trace(state, ["a"])
         assert abs(np.trace(reduced.data) - 1.0) < 1e-12
+
+    def test_fourteen_mode_register(self):
+        # One particle spread evenly over 14 qubit modes by 13 hops: hop k
+        # leaves 1/14 of the population on mode k with phase i^k.  The
+        # two-mode marginal is then analytic, and no dim^2 array is needed.
+        labels = [f"m{k}" for k in range(14)]
+        reg = build_register((label, 2) for label in labels)
+        state = basis_state(reg, (1,) + (0,) * 13)
+        for k in range(13):
+            angle = np.arccos(np.sqrt(1.0 / (14 - k)))
+            state = embed_and_apply(state, hopping_gate(reg, labels[k], labels[k + 1], angle))
+        reduced = partial_trace(state, ["m9", "m3"])
+        assert reduced.register.labels == ("m3", "m9")
+        # Basis |00>, |01>, |10>, |11> of (m3, m9); <01|rho|10> = i^9 (-i)^3 / 14.
+        expected = np.zeros((4, 4), dtype=complex)
+        expected[0, 0] = 12.0 / 14.0
+        expected[1, 1] = expected[2, 2] = 1.0 / 14.0
+        expected[1, 2] = expected[2, 1] = -1.0 / 14.0
+        np.testing.assert_allclose(reduced.data, expected, atol=1e-12)
+
+    def test_density_matches_pure_route(self):
+        reg = build_register([("a", 2), ("A", 3), ("B", 2)])
+        state = QuantumState(reg, random_pure(np.random.default_rng(9), reg.dim))
+        for keep in (["B", "a"], ["A"], ["a", "A", "B"]):
+            via_pure = partial_trace(state, keep)
+            via_density = partial_trace(state.to_density(), keep)
+            np.testing.assert_allclose(via_pure.data, via_density.data, atol=1e-14)
 
     def test_empty_keep_rejected(self):
         reg = build_register([("a", 2), ("A", 2)])

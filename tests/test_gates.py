@@ -37,7 +37,11 @@ class TestPhaseGate:
 
     def test_zero_is_identity(self, pair):
         gate = phase_gate(pair, "a", 0.0)
-        np.testing.assert_allclose(gate.matrix, np.eye(4), atol=1e-15)
+        assert gate.register == build_register([("a", 2)])
+        np.testing.assert_allclose(gate.matrix, np.eye(2), atol=1e-15)
+        state = from_amplitudes(pair, {(1, 0): 0.6, (0, 1): 0.8j})
+        out = embed_and_apply(state, gate)
+        np.testing.assert_allclose(out.data, state.data, atol=1e-15)
 
     def test_half_pi(self):
         reg = build_register([("m", 2)])
@@ -88,6 +92,15 @@ class TestNumberRotation:
     def test_unitary_at_every_grid_point(self, pair, grid):
         gate = number_rotation_gate(pair, "A", 0.37, grid)
         prods = np.einsum("...ji,...jk->...ik", gate.matrix.conj(), gate.matrix)
+        np.testing.assert_allclose(prods, np.broadcast_to(np.eye(2), (16, 2, 2)), atol=1e-13)
+        # Applied to each pair basis state, the images are the columns of the
+        # gate on the pair register: orthonormal at every grid point.
+        columns = np.stack(
+            [embed_and_apply(basis_state(pair, occ), gate).data
+             for occ in ((0, 0), (0, 1), (1, 0), (1, 1))],
+            axis=-1,
+        )
+        prods = np.einsum("...ji,...jk->...ik", columns.conj(), columns)
         np.testing.assert_allclose(prods, np.broadcast_to(np.eye(4), (16, 4, 4)), atol=1e-13)
 
     def test_fourier_order_accumulates(self, pair, grid):
