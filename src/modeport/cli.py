@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,10 @@ class RunConfig:
     out: str | None = None
     ratios: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0)
     nbars: tuple[float, ...] = (4.0, 16.0, 64.0, 256.0)
+
+
+# A config file may set every RunConfig field except the command.
+CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -109,6 +113,9 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
 
+    unknown = sorted(set(file_values) - CONFIG_KEYS)
+    if unknown:
+        parser.error(f"{args.config}: unknown config key {', '.join(map(repr, unknown))}")
     defaults = RunConfig(command=args.command)
 
     def pick(name: str, cast, default):
@@ -116,7 +123,10 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         if value is not None:
             return value
         if name in file_values:
-            return cast(file_values[name])
+            try:
+                return cast(file_values[name])
+            except ValueError:
+                parser.error(f"{args.config}: {name} = {file_values[name]!r} is not a valid value")
         return default
 
     config = RunConfig(

@@ -358,6 +358,14 @@ def tensor(a: QuantumState, b: QuantumState) -> QuantumState:
     return QuantumState(register, np.kron(a.data, b.data))
 
 
+def _require_unitary(matrix: np.ndarray) -> None:
+    """Reject a stack of square matrices unless each has max |U+U - I| <= NORM_ATOL."""
+    prod = np.swapaxes(matrix.conj(), -1, -2) @ matrix
+    dev = np.abs(prod - np.eye(matrix.shape[-1])).max()
+    if dev > NORM_ATOL:
+        raise ValueError(f"operator is not unitary: max |U+U - I| = {dev:.3e}")
+
+
 class LinearOperator:
     """Matrix over a register's basis, optionally per phase-grid point.
 
@@ -395,11 +403,7 @@ class LinearOperator:
 
     def _validate(self) -> None:
         if self.kind == "unitary":
-            prod = np.swapaxes(self.matrix.conj(), -1, -2) @ self.matrix
-            eye = np.eye(self.register.dim)
-            dev = np.abs(prod - eye).max()
-            if dev > NORM_ATOL:
-                raise ValueError(f"operator is not unitary: max |U+U - I| = {dev:.3e}")
+            _require_unitary(self.matrix)
         elif self.kind == "hermitian":
             dev = np.abs(self.matrix - np.swapaxes(self.matrix, -1, -2).conj()).max()
             if dev > HERM_ATOL:
@@ -560,6 +564,28 @@ def partial_trace(state: QuantumState, keep: Sequence[str]) -> QuantumState:
     )
 
 
+def phase_average(state: QuantumState, probability: np.ndarray) -> QuantumState:
+    """Conditional density matrix of the phase-averaged ensemble.
+
+    ``state`` is a conditional state, normalized per grid point, and
+    ``probability`` the per-point probability of its branch.  The result is
+    the probability-weighted average of the per-point density matrices,
+    renormalized by the average probability, which is the correct
+    conditional state once the phases are unknown; the weighted matrix is a
+    block of the pre-measurement density matrix, so the grid average is
+    exact.
+    """
+    if not state.grids:
+        return state.to_density()
+    _require_exact_average(state.grids, state.fourier_order)
+    weighted = probability[..., None, None] * state.density_data()
+    mean_p = float(np.mean(probability))
+    if mean_p < PROB_FLOOR:
+        raise ValueError("outcome has vanishing phase-averaged probability")
+    avg = weighted.mean(axis=tuple(range(len(state.grids)))) / mean_p
+    return QuantumState(state.register, avg)
+
+
 class MeasurementOutcome:
     """One projective number-measurement outcome.
 
@@ -592,24 +618,10 @@ class MeasurementOutcome:
         return float(np.mean(self.probability))
 
     def phase_averaged_state(self) -> QuantumState | None:
-        """Conditional state of the phase-averaged ensemble.
-
-        This is the probability-weighted average of the per-point conditional
-        density matrices, renormalized by the average probability, which is
-        the correct conditional state once the phases are unknown.
-        """
+        """Conditional state of the phase-averaged ensemble (see :func:`phase_average`)."""
         if self.state is None:
             return None
-        if not self.grids:
-            return self.state
-        _require_exact_average(self.grids, self.fourier_order)
-        weighted = self.probability[..., None, None] * self.state.density_data()
-        axes = tuple(range(len(self.grids)))
-        mean_p = float(np.mean(self.probability))
-        if mean_p < PROB_FLOOR:
-            raise ValueError("outcome has vanishing phase-averaged probability")
-        avg = weighted.mean(axis=axes) / mean_p
-        return QuantumState(self.state.register, avg)
+        return phase_average(self.state, self.probability)
 
     def __repr__(self) -> str:
         return (

@@ -11,6 +11,8 @@ particles between each mode and a resolved reservoir mode:
 Units use hbar = 1 throughout; times are meaningful only as products with
 the named couplings.  Evolution is exact by eigendecomposition of each
 total-number sector, so the generator must conserve particle number.
+Sectors of equal size are diagonalized in one stacked call, and the
+propagator's unitarity is checked block by block.
 
 The two scans in this module quantify the two idealizations behind the gate
 library: the hard-core limit that turns tunneling into a fermionic-style
@@ -30,6 +32,7 @@ from .fock import (
     LinearOperator,
     ModeRegister,
     QuantumState,
+    _require_unitary,
     basis_state,
     build_register,
     embed_and_apply,
@@ -120,7 +123,9 @@ def propagator(hamiltonian: LinearOperator, t: float) -> LinearOperator:
     """Unitary exp(-i H t), exact by eigendecomposition of each number sector.
 
     H must be Hermitian and conserve total particle number: any entry above
-    ``HERM_ATOL`` between two total-number sectors is rejected.
+    ``HERM_ATOL`` between two total-number sectors is rejected.  Sectors of
+    equal size are diagonalized in one stacked ``eigh`` call, and unitarity
+    is checked per block: every entry outside the blocks is exactly zero.
     """
     if hamiltonian.grids:
         raise ValueError("Hamiltonians must not carry phase symbols")
@@ -133,13 +138,21 @@ def propagator(hamiltonian: LinearOperator, t: float) -> LinearOperator:
     if leak > HERM_ATOL:
         raise ValueError(f"Hamiltonian changes particle number: off-sector entry {leak:.3e}")
     u = np.zeros_like(h)
-    # A full product basis holds every total from 0 to the maximum.
-    for n in range(sectors.max() + 1):
-        idx = np.flatnonzero(sectors == n)
-        block = np.ix_(idx, idx)
-        w, v = np.linalg.eigh(h[block])
-        u[block] = (v * np.exp(-1j * w * t)) @ v.conj().T
-    return LinearOperator(hamiltonian.register, u, kind="unitary")
+    # Basis indices grouped by sector, each sector ascending and contiguous.
+    order = np.argsort(sectors, kind="stable")
+    sizes = np.bincount(sectors)
+    starts = np.cumsum(sizes) - sizes
+    for size in range(1, sizes.max() + 1):
+        first = starts[sizes == size]
+        if first.size == 0:
+            continue
+        idx = order[first[:, None] + np.arange(size)]
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        w, v = np.linalg.eigh(h[rows, cols])
+        blocks = (v * np.exp(-1j * w * t)[:, None, :]) @ np.swapaxes(v.conj(), -1, -2)
+        _require_unitary(blocks)
+        u[rows, cols] = blocks
+    return LinearOperator(hamiltonian.register, u, kind="unitary", validate=False)
 
 
 def evolve(state: QuantumState, hamiltonian: LinearOperator, t: float) -> QuantumState:

@@ -32,13 +32,13 @@ from .fock import (
     ModeRegister,
     PhaseGrid,
     QuantumState,
-    _require_exact_average,
     basis_state,
     build_register,
     embed_and_apply,
     fidelity,
     measure_number,
     partial_trace,
+    phase_average,
     trace_distance,
 )
 from .gates import (
@@ -214,27 +214,6 @@ def feed_forward(
     return state_b, SUCCESS_STATUS
 
 
-def _weighted_phase_average(
-    state: QuantumState, probability: np.ndarray
-) -> QuantumState:
-    """Probability-weighted phase average of a conditional state.
-
-    This is the conditional state of the phase-averaged ensemble; weighting
-    by the per-point outcome probability keeps the average exact on the
-    grid (the weighted matrix is just a block of the pre-measurement
-    density matrix).
-    """
-    if not state.grids:
-        return state.to_density()
-    _require_exact_average(state.grids, state.fourier_order)
-    weighted = probability[..., None, None] * state.density_data()
-    mean_p = float(np.mean(probability))
-    if mean_p < PROB_FLOOR:
-        raise ValueError("cannot average a branch of vanishing probability")
-    avg = weighted.mean(axis=tuple(range(len(state.grids)))) / mean_p
-    return QuantumState(state.register, avg)
-
-
 @dataclass
 class OutcomeRecord:
     """One Bell-readout branch of a teleportation run."""
@@ -355,7 +334,7 @@ def run_teleportation(
         valid = outcome.probability > PROB_FLOOR
         fid_min = float(fid[valid].min())
         fid_mean = float(fid[valid].mean())
-        twirled = _weighted_phase_average(corrected, outcome.probability)
+        twirled = phase_average(corrected, outcome.probability)
         ssr_states.append(twirled)
         record = OutcomeRecord(
             n_a=bell.n_a,

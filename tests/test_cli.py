@@ -83,6 +83,33 @@ class TestParsing:
         assert exc.value.code == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [
+            ("teleport", "theta_prime", "abc"),
+            ("teleport", "grid_points", "16.5"),
+            ("sweep", "n", "ten"),
+            ("reservoir", "nbars", "4,x"),
+        ],
+    )
+    def test_non_numeric_config_value_exits_2(self, tmp_path, command, key, value, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert f"{key} = {value!r} is not a valid value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["theta-prime = 1.0", "grid = 8"])
+    def test_unknown_config_key_exits_2(self, tmp_path, line, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["teleport", "--config", str(cfg)])
+        assert exc.value.code == 2
+        key = line.split(" =")[0]
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
     def test_malformed_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just some words\n")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from modeport.cli import main
 from modeport.fock import (
     LinearOperator,
     QuantumState,
@@ -174,12 +175,31 @@ def random_number_conserving_hermitian(rng, reg):
     return h
 
 
+SECTOR_REGISTERS = pytest.mark.parametrize(
+    "modes",
+    [[("a", 3), ("A", 2), ("B", 3)], [("probe", 2), ("res", 12)]],
+    ids=["three_modes", "probe_reservoir"],
+)
+
+# Default `modeport hardcore` and `modeport reservoir` CSV output, byte for byte.
+HARDCORE_CSV = (
+    "ratio,infidelity\n"
+    "1,0.200084265277\n"
+    "10,0.00671459911148\n"
+    "100,6.17453821101e-05\n"
+    "1000,6.16856317026e-07\n"
+)
+RESERVOIR_CSV = (
+    "nbar,deviation\n"
+    "4,0.120818586271\n"
+    "16,0.0313257796596\n"
+    "64,0.00790282856277\n"
+    "256,0.00198018932565\n"
+)
+
+
 class TestSectorPropagator:
-    @pytest.mark.parametrize(
-        "modes",
-        [[("a", 3), ("A", 2), ("B", 3)], [("probe", 2), ("res", 12)]],
-        ids=["three_modes", "probe_reservoir"],
-    )
+    @SECTOR_REGISTERS
     def test_matches_dense_eigh_oracle(self, modes):
         rng = np.random.default_rng(31)
         reg = build_register(modes)
@@ -205,6 +225,42 @@ class TestSectorPropagator:
         spec = ReservoirSpec("res", 4.0, cutoff=24)
         with pytest.raises(ValueError, match="itself"):
             HamiltonianParams(omega={"res": 1.0}, reservoir=spec)
+
+    def test_unitarity_checked_for_every_sector_size(self, monkeypatch):
+        reg = build_register([("a", 3), ("A", 2), ("B", 3)])
+        h = LinearOperator(
+            reg, random_number_conserving_hermitian(np.random.default_rng(5), reg),
+            kind="hermitian",
+        )
+        sizes = sorted(set(np.bincount(reg.total_numbers).tolist()))
+        assert len(sizes) > 2
+        eigh = np.linalg.eigh
+        for size in sizes:
+
+            def scaled(a, size=size):
+                w, v = eigh(a)
+                return w, (v * (1.0 + 1e-9) if a.shape[-1] == size else v)
+
+            monkeypatch.setattr(np.linalg, "eigh", scaled)
+            with pytest.raises(ValueError, match="not unitary"):
+                propagator(h, 0.41)
+
+    @SECTOR_REGISTERS
+    def test_exactly_zero_off_sector(self, modes):
+        reg = build_register(modes)
+        h = random_number_conserving_hermitian(np.random.default_rng(17), reg)
+        off = reg.total_numbers[:, None] != reg.total_numbers
+        for t in (0.41, 3.7):
+            u = propagator(LinearOperator(reg, h, kind="hermitian"), t)
+            assert np.all(u.matrix[off] == 0.0)
+
+    @pytest.mark.parametrize(
+        "command,golden", [("hardcore", HARDCORE_CSV), ("reservoir", RESERVOIR_CSV)]
+    )
+    def test_default_scan_csv_bytes(self, tmp_path, command, golden):
+        out = tmp_path / "scan.csv"
+        assert main([command, "--out", str(out)]) == 0
+        assert out.read_bytes() == golden.encode()
 
 
 class TestHardcoreScan:
