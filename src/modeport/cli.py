@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +31,6 @@ from .selftest import run_acceptance_suite
 
 MIN_GRID_POINTS = 15  # headroom over the worst Fourier order this circuit family produces
 
-COMMANDS = ("teleport", "sweep", "hardcore", "reservoir", "densecoding", "selftest")
-
 
 @dataclass
 class RunConfig:
@@ -48,8 +46,41 @@ class RunConfig:
     nbars: tuple[float, ...] = (4.0, 16.0, 64.0, 256.0)
 
 
-# A config file may set every RunConfig field except the command.
-CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
+def _parse_list(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in text.split(",") if part.strip())
+
+
+def _parse_bool(text: str) -> bool:
+    word = text.lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+# RunConfig field -> (flag, parser of a config-file value or a flag argument).
+FIELDS = {
+    "theta_prime": ("--theta-prime", float),
+    "phi": ("--phi", float),
+    "grid_points": ("--grid", int),
+    "shared_reservoir": ("--shared-reservoir", _parse_bool),
+    "n": ("--n", int),
+    "seed": ("--seed", int),
+    "out": ("--out", str),
+    "ratios": ("--ratios", _parse_list),
+    "nbars": ("--nbars", _parse_list),
+}
+
+# The fields each command reads: its flags and its config-file keys.
+COMMAND_FIELDS = {
+    "teleport": ("theta_prime", "phi", "grid_points", "shared_reservoir", "out"),
+    "sweep": ("n", "seed", "grid_points", "shared_reservoir", "out"),
+    "hardcore": ("ratios", "out"),
+    "reservoir": ("nbars", "out"),
+    "densecoding": ("grid_points", "out"),
+    "selftest": ("n", "seed", "grid_points", "out"),
+}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -67,38 +98,22 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _parse_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modeport",
         description="mode-entanglement teleportation runs and limit scans",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
+    for command, names in COMMAND_FIELDS.items():
         p = sub.add_parser(command)
         p.add_argument("--config", default=None, help="flat key = value file")
-        p.add_argument("--grid", type=int, default=None, dest="grid_points")
-        p.add_argument("--shared-reservoir", action="store_true", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
-        if command == "teleport":
-            p.add_argument("--theta-prime", type=float, default=None)
-            p.add_argument("--phi", type=float, default=None)
-        if command in ("sweep", "selftest"):
-            p.add_argument("--n", type=int, default=None)
-        if command == "hardcore":
-            p.add_argument(
-                "--ratios", type=_parse_list, default=None,
-                help="comma-separated, ascending",
-            )
-        if command == "reservoir":
-            p.add_argument(
-                "--nbars", type=_parse_list, default=None,
-                help="comma-separated, ascending",
-            )
+        for name in names:
+            flag, cast = FIELDS[name]
+            if cast is _parse_bool:
+                p.add_argument(flag, dest=name, action="store_true", default=None)
+            else:
+                listed = "comma-separated, ascending" if cast is _parse_list else None
+                p.add_argument(flag, dest=name, type=cast, default=None, help=listed)
     return parser
 
 
@@ -106,43 +121,31 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     """Parse flags (and an optional config file; flags win) into a RunConfig."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    names = COMMAND_FIELDS[args.command]
     file_values: dict[str, str] = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             file_values = _read_config_file(args.config)
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
 
-    unknown = sorted(set(file_values) - CONFIG_KEYS)
+    unknown = sorted(set(file_values) - set(names))
     if unknown:
-        parser.error(f"{args.config}: unknown config key {', '.join(map(repr, unknown))}")
-    defaults = RunConfig(command=args.command)
-
-    def pick(name: str, cast, default):
-        value = getattr(args, name, None)
-        if value is not None:
-            return value
-        if name in file_values:
+        parser.error(
+            f"{args.config}: unknown config key {', '.join(map(repr, unknown))} "
+            f"for command {args.command!r}"
+        )
+    values = {}
+    for name in names:
+        value = getattr(args, name)
+        if value is None and name in file_values:
             try:
-                return cast(file_values[name])
+                value = FIELDS[name][1](file_values[name])
             except ValueError:
                 parser.error(f"{args.config}: {name} = {file_values[name]!r} is not a valid value")
-        return default
-
-    config = RunConfig(
-        command=args.command,
-        theta_prime=pick("theta_prime", float, defaults.theta_prime),
-        phi=pick("phi", float, defaults.phi),
-        grid_points=pick("grid_points", int, defaults.grid_points),
-        shared_reservoir=bool(
-            pick("shared_reservoir", lambda s: s.lower() in ("1", "true", "yes"), False)
-        ),
-        n=pick("n", int, defaults.n),
-        seed=pick("seed", int, defaults.seed),
-        out=pick("out", str, None),
-        ratios=pick("ratios", _parse_list, defaults.ratios),
-        nbars=pick("nbars", _parse_list, defaults.nbars),
-    )
+        if value is not None:
+            values[name] = value
+    config = RunConfig(command=args.command, **values)
     if config.grid_points < MIN_GRID_POINTS:
         parser.error(
             f"--grid {config.grid_points} is too coarse; this circuit family "
@@ -152,13 +155,13 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         parser.error("--n must be at least 1")
     for name in ("theta_prime", "phi"):
         if not math.isfinite(getattr(config, name)):
-            parser.error(f"--{name.replace('_', '-')} must be finite")
-    for name, values in (("ratios", config.ratios), ("nbars", config.nbars)):
-        if not all(math.isfinite(v) for v in values):
+            parser.error(f"{FIELDS[name][0]} must be finite")
+    for name, listed in (("ratios", config.ratios), ("nbars", config.nbars)):
+        if not all(math.isfinite(v) for v in listed):
             parser.error(f"--{name} must be finite")
-        if not values or list(values) != sorted(values):
+        if not listed or list(listed) != sorted(listed):
             parser.error(f"--{name} must be a non-empty ascending list")
-        if any(v <= 0 for v in values):
+        if any(v <= 0 for v in listed):
             parser.error(f"--{name} must be positive")
     return config
 
@@ -174,6 +177,10 @@ def _round12(value):
     if isinstance(value, (list, tuple)):
         return [_round12(v) for v in value]
     return value
+
+
+def _json_text(payload: dict) -> str:
+    return json.dumps(_round12(payload), indent=2, sort_keys=True) + "\n"
 
 
 def _check_probabilities(payload: dict, violations: list[str], context: str) -> None:
@@ -210,7 +217,7 @@ def _run_teleport(config: RunConfig):
             )
     if not result.ssr_compliant:
         violations.append("teleport: twirled terminal states violate superselection")
-    return json.dumps(_round12(payload), indent=2, sort_keys=True) + "\n", violations
+    return _json_text(payload), violations
 
 
 def _run_sweep(config: RunConfig):
@@ -259,28 +266,24 @@ def _run_sweep(config: RunConfig):
             "all_ssr_compliant": all(r["ssr_compliant"] for r in runs),
         },
     }
-    return json.dumps(_round12(payload), indent=2, sort_keys=True) + "\n", violations
+    return _json_text(payload), violations
 
 
-def _run_hardcore(config: RunConfig):
-    scan = hardcore_limit_scan(list(config.ratios))
-    lines = ["ratio,infidelity"]
-    lines += [f"{ratio:.12g},{infid:.12g}" for ratio, infid in scan]
+# command -> (scan, RunConfig field it scans, CSV header, name of the scanned values)
+_SCANS = {
+    "hardcore": (hardcore_limit_scan, "ratios", "ratio,infidelity", "infidelities"),
+    "reservoir": (reservoir_resolved_rotation, "nbars", "nbar,deviation", "deviations"),
+}
+
+
+def _run_scan(config: RunConfig):
+    scan, field, header, quantity = _SCANS[config.command]
+    rows = scan(list(getattr(config, field)))
+    lines = [header] + [f"{x:.12g},{y:.12g}" for x, y in rows]
     violations = []
-    infs = [i for _, i in scan]
-    if any(b > a + 1e-12 for a, b in zip(infs, infs[1:])):
-        violations.append(f"hardcore: infidelities not monotone: {infs}")
-    return "\n".join(lines) + "\n", violations
-
-
-def _run_reservoir(config: RunConfig):
-    scan = reservoir_resolved_rotation(list(config.nbars))
-    lines = ["nbar,deviation"]
-    lines += [f"{nbar:.12g},{dev:.12g}" for nbar, dev in scan]
-    violations = []
-    devs = [d for _, d in scan]
-    if any(b > a + 1e-12 for a, b in zip(devs, devs[1:])):
-        violations.append(f"reservoir: deviations not monotone: {devs}")
+    ys = [y for _, y in rows]
+    if any(b > a + 1e-12 for a, b in zip(ys, ys[1:])):
+        violations.append(f"{config.command}: {quantity} not monotone: {ys}")
     return "\n".join(lines) + "\n", violations
 
 
@@ -315,7 +318,7 @@ def _run_densecoding(config: RunConfig):
         "grid_points": config.grid_points,
         "messages": messages,
     }
-    return json.dumps(_round12(payload), indent=2, sort_keys=True) + "\n", violations
+    return _json_text(payload), violations
 
 
 def _run_selftest(config: RunConfig):
@@ -338,14 +341,14 @@ def _run_selftest(config: RunConfig):
         ],
         "passed": all(r.passed for r in results),
     }
-    return json.dumps(_round12(payload), indent=2, sort_keys=True) + "\n", violations
+    return _json_text(payload), violations
 
 
 _RUNNERS = {
     "teleport": _run_teleport,
     "sweep": _run_sweep,
-    "hardcore": _run_hardcore,
-    "reservoir": _run_reservoir,
+    "hardcore": _run_scan,
+    "reservoir": _run_scan,
     "densecoding": _run_densecoding,
     "selftest": _run_selftest,
 }

@@ -127,10 +127,6 @@ class PhaseGrid:
         return 2.0 * np.pi * np.arange(self.n_points) / self.n_points
 
     @property
-    def weight(self) -> float:
-        return 1.0 / self.n_points
-
-    @property
     def max_exact_order(self) -> int:
         """Largest amplitude-level Fourier order this grid averages exactly."""
         return (self.n_points - 1) // 2
@@ -356,6 +352,13 @@ def tensor(a: QuantumState, b: QuantumState) -> QuantumState:
         raise ValueError("tensor requires phase-symbol-free states")
     register = ModeRegister(a.register.modes + b.register.modes)
     return QuantumState(register, np.kron(a.data, b.data))
+
+
+def _max_offsector_entry(matrix: np.ndarray, register: ModeRegister) -> float:
+    """Largest |entry| of a dim x dim matrix between two total-number sectors."""
+    totals = register.total_numbers
+    offsector = totals[:, None] != totals
+    return float(np.abs(matrix[offsector]).max()) if offsector.any() else 0.0
 
 
 def _require_unitary(matrix: np.ndarray) -> None:

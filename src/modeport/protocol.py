@@ -105,10 +105,11 @@ class BellOutcome:
 
 
 def prepare_unknown_state(
-    spec: UnknownStateSpec, grid: PhaseGrid, register: ModeRegister | None = None
+    spec: UnknownStateSpec, grid: PhaseGrid, state: QuantumState | None = None
 ) -> QuantumState:
-    """Rotate mode ``a`` from vacuum into the requested unknown state.
+    """Rotate mode ``a`` of ``state`` from vacuum into the requested unknown state.
 
+    ``state`` defaults to vacuum on a register holding mode ``a`` alone.
     Applies the reservoir-assisted rotation by theta' and then the bias
     phase phi.  ``grid`` must carry the preparation reservoir's symbol.
     """
@@ -117,9 +118,9 @@ def prepare_unknown_state(
             f"grid symbol {grid.symbol!r} does not match the preparation "
             f"reservoir {spec.prep_reservoir!r}"
         )
-    if register is None:
-        register = build_register([("a", 2)])
-    state = basis_state(register, (0,) * register.n_modes)
+    if state is None:
+        state = basis_state(build_register([("a", 2)]), (0,))
+    register = state.register
     state = embed_and_apply(
         state, number_rotation_gate(register, "a", spec.theta_prime, grid)
     )
@@ -312,11 +313,7 @@ def run_teleportation(
     )
 
     register = build_register([("a", 2), ("A", 2), ("B", 2)])
-    state = basis_state(register, (0, 1, 0))
-    state = embed_and_apply(
-        state, number_rotation_gate(register, "a", spec.theta_prime, prep_grid)
-    )
-    state = embed_and_apply(state, phase_gate(register, "a", spec.phi))
+    state = prepare_unknown_state(spec, prep_grid, basis_state(register, (0, 1, 0)))
     state = embed_and_apply(
         state, hopping_gate(register, "A", "B", np.pi / 4, convention="bell")
     )

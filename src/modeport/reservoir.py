@@ -18,8 +18,8 @@ import numpy as np
 
 from .fock import (
     ModeRegister,
-    PhaseGrid,
     QuantumState,
+    _max_offsector_entry,
     _require_exact_average,
 )
 
@@ -58,9 +58,6 @@ class ReservoirSpec:
     @property
     def resolved(self) -> bool:
         return self.cutoff is not None
-
-    def phase_grid(self, n_points: int = 16) -> PhaseGrid:
-        return PhaseGrid(self.label, n_points)
 
 
 def twirl_state(state: QuantumState, symbol: str) -> QuantumState:
@@ -113,10 +110,7 @@ def ssr_compliance_check(state: QuantumState) -> SsrReport:
             f"state carries unresolved phase symbols {state.phase_symbols}; "
             "twirl before checking superselection compliance"
         )
-    rho = state.density_data()
-    totals = state.register.total_numbers
-    offblock = totals[:, None] != totals[None, :]
-    max_off = float(np.abs(rho[offblock]).max()) if offblock.any() else 0.0
+    max_off = _max_offsector_entry(state.density_data(), state.register)
     return SsrReport(compliant=max_off <= SSR_ATOL, max_offblock_norm=max_off)
 
 

@@ -110,6 +110,57 @@ class TestParsing:
         key = line.split(" =")[0]
         assert f"unknown config key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("teleport", "--seed"),
+            ("hardcore", "--grid"),
+            ("hardcore", "--shared-reservoir"),
+            ("hardcore", "--seed"),
+            ("reservoir", "--grid"),
+            ("reservoir", "--shared-reservoir"),
+            ("reservoir", "--seed"),
+            ("densecoding", "--shared-reservoir"),
+            ("densecoding", "--seed"),
+            ("selftest", "--shared-reservoir"),
+        ],
+    )
+    def test_flag_the_command_ignores_exits_2(self, command, flag):
+        argv = [command, flag] if flag == "--shared-reservoir" else [command, flag, "16"]
+        with pytest.raises(SystemExit) as exc:
+            parse_config(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command,key",
+        [("teleport", "seed"), ("hardcore", "grid_points"), ("densecoding", "shared_reservoir")],
+    )
+    def test_config_key_the_command_ignores_exits_2(self, tmp_path, command, key, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unknown config key {key!r}" in err
+        assert repr(command) in err
+
+    @pytest.mark.parametrize(
+        "value,expected", [("true", True), ("No", False), ("YES", True), ("0", False)]
+    )
+    def test_shared_reservoir_config_value(self, tmp_path, value, expected):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"shared_reservoir = {value}\n")
+        assert parse_config(["teleport", "--config", str(cfg)]).shared_reservoir is expected
+
+    def test_shared_reservoir_config_value_not_boolean_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("shared_reservoir = maybe\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["teleport", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "shared_reservoir = 'maybe' is not a valid value" in capsys.readouterr().err
+
     def test_malformed_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just some words\n")

@@ -167,6 +167,17 @@ class TestEvolve:
             evolve(basis_state(reg, (0,)), bad, 1.0)
 
 
+    def test_hermitian_matrix_of_general_kind_rejected(self):
+        # Hermiticity is checked when an operator is built as kind="hermitian";
+        # propagator relies on that check instead of repeating it.
+        reg = build_register([("m", 2)])
+        h = LinearOperator(reg, np.array([[1.0, 0.0], [0.0, -1.0]]), kind="general")
+        with pytest.raises(ValueError, match="Hermitian"):
+            propagator(h, 1.0)
+        with pytest.raises(ValueError, match="Hermitian"):
+            evolve(basis_state(reg, (0,)), h, 0.0)
+
+
 def random_number_conserving_hermitian(rng, reg):
     """Random Hermitian matrix with every entry between total-n sectors zeroed."""
     z = rng.standard_normal((reg.dim, reg.dim)) + 1j * rng.standard_normal((reg.dim, reg.dim))

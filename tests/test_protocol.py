@@ -3,6 +3,7 @@ import pytest
 
 from modeport.fock import (
     PhaseGrid,
+    basis_state,
     build_register,
     fidelity,
     from_amplitudes,
@@ -71,6 +72,16 @@ class TestPreparation:
             state = prepare_unknown_state(spec, grid)
             target = unknown_state_target(spec, state.register, grid)
             np.testing.assert_allclose(state.data, target.data, atol=1e-12)
+
+    def test_rotates_mode_a_of_a_given_state(self):
+        grid = PhaseGrid("charlie", 16)
+        spec = UnknownStateSpec(0.9, 0.4)
+        register = build_register([("a", 2), ("A", 2), ("B", 2)])
+        state = prepare_unknown_state(spec, grid, basis_state(register, (0, 1, 0)))
+        alone = prepare_unknown_state(spec, grid)
+        np.testing.assert_allclose(
+            state.data.reshape(16, 2, 4)[:, :, 2], alone.data, atol=1e-14
+        )
 
     def test_entangled_pair(self):
         pair = prepare_entangled_pair()
