@@ -140,19 +140,17 @@ def unknown_state_target(
     return QuantumState(register, data, grids=(grid,), fourier_order=(1,))
 
 
-def prepare_entangled_pair(register: ModeRegister | None = None) -> QuantumState:
+def prepare_entangled_pair(state: QuantumState | None = None) -> QuantumState:
     """Split one particle across modes A and B: (|10> + |01>)/sqrt(2).
 
-    Starting from |1>_A |0>_B, a quarter-period tunneling pulse in the
-    ``bell`` phase convention produces the symmetric pair exactly.
+    ``state`` holds |1>_A |0>_B and may carry other modes; it defaults to
+    that state on a register of A and B alone.  A quarter-period tunneling
+    pulse in the ``bell`` phase convention produces the symmetric pair exactly.
     """
-    if register is None:
-        register = build_register([("A", 2), ("B", 2)])
-    occ = [0] * register.n_modes
-    occ[register.position("A")] = 1
-    state = basis_state(register, occ)
+    if state is None:
+        state = basis_state(build_register([("A", 2), ("B", 2)]), (1, 0))
     return embed_and_apply(
-        state, hopping_gate(register, "A", "B", np.pi / 4, convention="bell")
+        state, hopping_gate(state.register, "A", "B", np.pi / 4, convention="bell")
     )
 
 
@@ -228,7 +226,6 @@ class OutcomeRecord:
     fidelity_min: float
     fidelity_mean: float
     state: QuantumState
-    twirled_state: QuantumState
 
 
 @dataclass
@@ -242,7 +239,6 @@ class ProtocolResult:
     grid_points: int
     outcomes: list[OutcomeRecord]
     success_probability: float
-    failure_mode_a: QuantumState
     failure_mode_a_distance: float
     failure_mode_b: QuantumState
     failure_fidelity_mean: float
@@ -313,9 +309,8 @@ def run_teleportation(
     )
 
     register = build_register([("a", 2), ("A", 2), ("B", 2)])
-    state = prepare_unknown_state(spec, prep_grid, basis_state(register, (0, 1, 0)))
-    state = embed_and_apply(
-        state, hopping_gate(register, "A", "B", np.pi / 4, convention="bell")
+    state = prepare_entangled_pair(
+        prepare_unknown_state(spec, prep_grid, basis_state(register, (0, 1, 0)))
     )
 
     analysis = bell_state_analysis(state, analysis_grid, modes=("a", "A"))
@@ -331,8 +326,7 @@ def run_teleportation(
         valid = outcome.probability > PROB_FLOOR
         fid_min = float(fid[valid].min())
         fid_mean = float(fid[valid].mean())
-        twirled = phase_average(corrected, outcome.probability)
-        ssr_states.append(twirled)
+        ssr_states.append(phase_average(corrected, outcome.probability))
         record = OutcomeRecord(
             n_a=bell.n_a,
             n_A=bell.n_A,
@@ -343,7 +337,6 @@ def run_teleportation(
             fidelity_min=fid_min,
             fidelity_mean=fid_mean,
             state=corrected,
-            twirled_state=twirled,
         )
         records.append(record)
         if status == SUCCESS_STATUS:
@@ -378,7 +371,6 @@ def run_teleportation(
         grid_points=grid_points,
         outcomes=records,
         success_probability=success_probability,
-        failure_mode_a=fail_mode_a,
         failure_mode_a_distance=fail_distance,
         failure_mode_b=fail_mode_b,
         failure_fidelity_mean=fail_fid,
@@ -466,8 +458,7 @@ def run_dense_coding(
             "cancel against and decoding becomes phase dependent"
         )
     grid = PhaseGrid(reservoir, grid_points)
-    register = build_register([("A", 2), ("B", 2)])
-    pair = prepare_entangled_pair(register)
+    pair = prepare_entangled_pair()
     encoded = encode_dense_message(pair, message, "A", grid)
     analysis = bell_state_analysis(encoded, grid, modes=("A", "B"))
 

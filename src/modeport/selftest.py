@@ -31,6 +31,8 @@ from .gates import (
 from .hamiltonian import hardcore_limit_scan, reservoir_resolved_rotation
 from .protocol import (
     SUCCESS_STATUS,
+    DenseCodingResult,
+    ProtocolResult,
     bell_state_analysis,
     encode_dense_message,
     prepare_entangled_pair,
@@ -39,6 +41,15 @@ from .protocol import (
     run_teleportation,
 )
 from .reservoir import twirl_state
+
+
+# Bounds of the teleportation claims (criteria 1-3); criterion 4 is
+# reservoir.SSR_ATOL, the bound ssr_compliance_check applies.
+P_SUCCESS_TOL = 1e-9  # |P(success) - 1/2|
+FIDELITY_TOL = 1e-9  # 1 - per-point success-branch fidelity
+MIXED_TOL = 1e-9  # trace distance of the failure-branch mode A from I/2
+RANGE_SLACK = 1e-12  # round-off above 1 allowed in a fidelity
+MONOTONE_SLACK = 1e-12  # round-off rise allowed between scan points
 
 
 @dataclass
@@ -53,48 +64,72 @@ class CriterionResult:
         return f"{status} criterion {self.number}: {self.name} ({self.detail})"
 
 
-def _corpus_checks(n_specs: int, seed: int, grid_points: int) -> list[CriterionResult]:
-    corpus = random_spec_corpus(n_specs, seed)
-    runs = [run_teleportation(spec, "distinct", grid_points) for spec in corpus]
-
+def teleport_criteria(runs: list[ProtocolResult]) -> list[CriterionResult]:
+    """Criteria 1-4, judged on the worst of ``runs``."""
     worst_p = max(abs(r.success_probability - 0.5) for r in runs)
-    c1 = CriterionResult(
-        1,
-        "teleportation succeeds with probability 1/2",
-        worst_p <= 1e-9,
-        f"max |P(success) - 1/2| = {worst_p:.3e} over {n_specs} specs",
-    )
-
     worst_fid = min(
         rec.fidelity_min
         for r in runs
         for rec in r.outcomes
         if rec.status == SUCCESS_STATUS
     )
-    c2 = CriterionResult(
-        2,
-        "success branches deliver the state with unit fidelity at every phase",
-        worst_fid >= 1.0 - 1e-9,
-        f"min per-point success fidelity = {worst_fid:.12f}",
-    )
-
     worst_dist = max(r.failure_mode_a_distance for r in runs)
-    c3 = CriterionResult(
-        3,
-        "failure branch leaves mode A maximally mixed after twirling",
-        worst_dist <= 1e-9,
-        f"max trace distance from I/2 = {worst_dist:.3e}",
-    )
-
     worst_off = max(r.ssr_report.max_offblock_norm for r in runs)
-    all_compliant = all(r.ssr_compliant for r in runs)
-    c4 = CriterionResult(
-        4,
-        "every twirled terminal state is superselection compliant",
-        all_compliant and worst_off <= 1e-12,
-        f"max off-block coherence = {worst_off:.3e}",
-    )
-    return [c1, c2, c3, c4]
+    return [
+        CriterionResult(
+            1,
+            "teleportation succeeds with probability 1/2",
+            worst_p <= P_SUCCESS_TOL,
+            f"max |P(success) - 1/2| = {worst_p:.3e} over {len(runs)} specs",
+        ),
+        CriterionResult(
+            2,
+            "success branches deliver the state with unit fidelity at every phase",
+            worst_fid >= 1.0 - FIDELITY_TOL,
+            f"min per-point success fidelity = {worst_fid:.12f}",
+        ),
+        CriterionResult(
+            3,
+            "failure branch leaves mode A maximally mixed after twirling",
+            worst_dist <= MIXED_TOL,
+            f"max trace distance from I/2 = {worst_dist:.3e}",
+        ),
+        CriterionResult(
+            4,
+            "every twirled terminal state is superselection compliant",
+            all(r.ssr_compliant for r in runs),
+            f"max off-block coherence = {worst_off:.3e}",
+        ),
+    ]
+
+
+def teleport_violations(result: ProtocolResult, context: str) -> list[str]:
+    """Criteria 1-4 and the probability and fidelity ranges for one run.
+
+    Returns one message per broken check, each prefixed with ``context``;
+    an empty list means the run upholds every claim.
+    """
+    found = [f"{context}: {c.line()}" for c in teleport_criteria([result]) if not c.passed]
+    for rec in result.outcomes:
+        ranges = {
+            "probability": (rec.probability, 1.0),
+            "fidelity_min": (rec.fidelity_min, 1.0 + RANGE_SLACK),
+            "fidelity_mean": (rec.fidelity_mean, 1.0 + RANGE_SLACK),
+        }
+        for key, (value, top) in ranges.items():
+            if not 0.0 <= value <= top:
+                found.append(f"{context}: ({rec.n_a},{rec.n_A}) {key} {value} outside [0, 1]")
+    return found
+
+
+def is_monotone(values: list[float]) -> bool:
+    """True when ``values`` never rise by more than round-off (scans fall)."""
+    return all(b <= a + MONOTONE_SLACK for a, b in zip(values, values[1:]))
+
+
+def decoded_exactly(result: DenseCodingResult) -> bool:
+    """A dense-coding round trip returns its message at every reservoir phase."""
+    return result.deterministic and result.decoded == result.message
 
 
 def _bell_truth_table(grid_points: int) -> CriterionResult:
@@ -132,17 +167,15 @@ def _dense_coding_contrast(grid_points: int) -> CriterionResult:
     details = []
     for message in range(4):
         result = run_dense_coding(message, grid_points=grid_points)
-        if not (result.deterministic and result.decoded == message):
-            ok = False
+        ok = ok and decoded_exactly(result)
         details.append(f"{message}->{result.decoded}")
 
     # Distinct reservoirs, evaluated with the gate primitives directly: the
     # two-particle (phi-sector) outcome probabilities must depend on the
     # phase difference, so decoding cannot be deterministic.
-    register = build_register([("A", 2), ("B", 2)])
     encode_grid = PhaseGrid("charlie", grid_points)
     analysis_grid = PhaseGrid("alice", grid_points)
-    pair = prepare_entangled_pair(register)
+    pair = prepare_entangled_pair()
     encoded = encode_dense_message(pair, 2, "A", encode_grid)
     analysis = bell_state_analysis(encoded, analysis_grid, modes=("A", "B"))
     spreads = [
@@ -161,32 +194,20 @@ def _dense_coding_contrast(grid_points: int) -> CriterionResult:
     )
 
 
-def _hardcore_check() -> CriterionResult:
-    scan = hardcore_limit_scan([1.0, 10.0, 100.0, 1000.0])
-    infs = [i for _, i in scan]
-    monotone = all(b <= a + 1e-12 for a, b in zip(infs, infs[1:]))
-    passed = monotone and infs[-1] < 1e-3
-    detail = ", ".join(f"{r:g}:{i:.3e}" for r, i in scan)
-    return CriterionResult(
-        7,
-        "hard-core swap infidelity is monotone and < 1e-3 at U/J = 1000",
-        passed,
-        detail,
-    )
+# Criteria 7 and 8: (number, name, limit scan, scanned values, bound on the last value).
+_SCAN_CRITERIA = (
+    (7, "hard-core swap infidelity is monotone and < 1e-3 at U/J = 1000",
+     hardcore_limit_scan, [1.0, 10.0, 100.0, 1000.0], 1e-3),
+    (8, "resolved-reservoir rotation error is monotone and < 0.05 at nbar = 256",
+     reservoir_resolved_rotation, [4.0, 16.0, 64.0, 256.0], 0.05),
+)
 
 
-def _reservoir_check() -> CriterionResult:
-    scan = reservoir_resolved_rotation([4.0, 16.0, 64.0, 256.0])
-    devs = [d for _, d in scan]
-    monotone = all(b <= a + 1e-12 for a, b in zip(devs, devs[1:]))
-    passed = monotone and devs[-1] < 0.05
-    detail = ", ".join(f"{n:g}:{d:.3e}" for n, d in scan)
-    return CriterionResult(
-        8,
-        "resolved-reservoir rotation error is monotone and < 0.05 at nbar = 256",
-        passed,
-        detail,
-    )
+def _scan_check(number, name, scan, xs, bound) -> CriterionResult:
+    rows = scan(xs)
+    ys = [y for _, y in rows]
+    detail = ", ".join(f"{x:g}:{y:.3e}" for x, y in rows)
+    return CriterionResult(number, name, is_monotone(ys) and ys[-1] < bound, detail)
 
 
 def _structural_checks(grid_points: int) -> CriterionResult:
@@ -266,10 +287,10 @@ def run_acceptance_suite(
     n_specs: int = 100, seed: int = 0, grid_points: int = 16
 ) -> list[CriterionResult]:
     """Evaluate all acceptance criteria; returns one result per criterion."""
-    results = _corpus_checks(n_specs, seed, grid_points)
+    corpus = random_spec_corpus(n_specs, seed)
+    results = teleport_criteria([run_teleportation(s, "distinct", grid_points) for s in corpus])
     results.append(_bell_truth_table(grid_points))
     results.append(_dense_coding_contrast(grid_points))
-    results.append(_hardcore_check())
-    results.append(_reservoir_check())
+    results.extend(_scan_check(*criterion) for criterion in _SCAN_CRITERIA)
     results.append(_structural_checks(grid_points))
     return results

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
+from modeport import cli
 from modeport.cli import main, parse_config
 
 
@@ -161,6 +163,15 @@ class TestParsing:
         assert exc.value.code == 2
         assert "shared_reservoir = 'maybe' is not a valid value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep", "selftest"])
+    def test_negative_seed_exits_2(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n", "1", "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed must be non-negative" in err
+        assert "Traceback" not in err
+
     def test_malformed_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just some words\n")
@@ -245,3 +256,40 @@ class TestExecution:
         payload = json.loads(out.read_text())
         assert payload["passed"] is True
         assert len(payload["criteria"]) == 9
+
+
+class TestViolations:
+    """A broken invariant exits 1 with a JSON violation list on stderr."""
+
+    @staticmethod
+    def _mixed_off_by(monkeypatch, distance):
+        real = cli.run_teleportation
+
+        def run(*args, **kwargs):
+            result = real(*args, **kwargs)
+            return dataclasses.replace(result, failure_mode_a_distance=distance)
+
+        monkeypatch.setattr(cli, "run_teleportation", run)
+
+    @pytest.mark.parametrize(
+        "argv,context",
+        [(["teleport"], "teleport"), (["sweep", "--n", "2", "--seed", "7"], "sweep[1]")],
+        ids=["teleport", "sweep"],
+    )
+    def test_failure_branch_not_mixed_exits_1(self, monkeypatch, capsys, tmp_path, argv, context):
+        self._mixed_off_by(monkeypatch, 1e-6)
+        assert main(argv + ["--out", str(tmp_path / "run.json")]) == 1
+        violations = json.loads(capsys.readouterr().err)["violations"]
+        assert any(
+            v.startswith(f"{context}: FAIL criterion 3:") and "1.000e-06" in v
+            for v in violations
+        )
+
+    def test_non_monotone_scan_exits_1(self, monkeypatch, capsys, tmp_path):
+        _, *rest = cli._SCANS["hardcore"]
+        monkeypatch.setitem(
+            cli._SCANS, "hardcore", (lambda xs: [(x, 1e-3 * x) for x in xs], *rest)
+        )
+        assert main(["hardcore", "--out", str(tmp_path / "scan.csv")]) == 1
+        (violation,) = json.loads(capsys.readouterr().err)["violations"]
+        assert violation.startswith("hardcore: infidelities not monotone")

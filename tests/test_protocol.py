@@ -315,7 +315,7 @@ class TestDenseCoding:
         register = build_register([("A", 2), ("B", 2)])
         encode_grid = PhaseGrid("charlie", 16)
         analysis_grid = PhaseGrid("alice", 16)
-        pair = prepare_entangled_pair(register)
+        pair = prepare_entangled_pair(basis_state(register, (1, 0)))
         encoded = encode_dense_message(pair, 2, "A", encode_grid)
         analysis = bell_state_analysis(encoded, analysis_grid, modes=("A", "B"))
 
