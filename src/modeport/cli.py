@@ -272,9 +272,9 @@ def _run_densecoding(config: RunConfig):
                     {
                         "n_alice": occ[0],
                         "n_bob": occ[1],
-                        "mean_probability": float(np.mean(prob)),
+                        "mean_probability": outcome.mean_probability,
                     }
-                    for occ, prob in sorted(result.outcome_probabilities.items())
+                    for occ, outcome in sorted(result.outcomes.items())
                 ],
             }
         )

@@ -126,25 +126,17 @@ class PhaseGrid:
     def points(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.n_points) / self.n_points
 
-    @property
-    def max_exact_order(self) -> int:
-        """Largest amplitude-level Fourier order this grid averages exactly."""
-        return (self.n_points - 1) // 2
-
 
 def _sort_grids(
-    grids: Sequence[PhaseGrid], fourier_order: Sequence[int] | None
+    grids: Sequence[PhaseGrid], fourier_order: Sequence[int]
 ) -> tuple[tuple[PhaseGrid, ...], tuple[int, ...]]:
     grids = tuple(grids)
     symbols = [g.symbol for g in grids]
     if len(set(symbols)) != len(symbols):
         raise ValueError(f"repeated phase symbol in {symbols}")
-    if fourier_order is None:
-        fourier_order = tuple(g.max_exact_order for g in grids)
-    else:
-        fourier_order = tuple(int(f) for f in fourier_order)
-        if len(fourier_order) != len(grids):
-            raise ValueError("fourier_order must have one entry per phase grid")
+    fourier_order = tuple(int(f) for f in fourier_order)
+    if len(fourier_order) != len(grids):
+        raise ValueError("fourier_order must have one entry per phase grid")
     order = sorted(range(len(grids)), key=lambda i: grids[i].symbol)
     return tuple(grids[i] for i in order), tuple(fourier_order[i] for i in order)
 
@@ -206,7 +198,8 @@ class QuantumState:
     per phase grid, ordered by symbol.  Per grid point, pure vectors are unit
     norm and density matrices are Hermitian, positive semidefinite and unit
     trace; a measurement branch that is impossible at some grid point may
-    store the zero vector (zero matrix) there instead.
+    store the zero vector (zero matrix) there instead, but not at every
+    point.  ``fourier_order`` holds one amplitude Fourier order per grid.
 
     Treat instances as immutable; operations return new states.
     """
@@ -216,7 +209,7 @@ class QuantumState:
         register: ModeRegister,
         data: np.ndarray,
         grids: Sequence[PhaseGrid] = (),
-        fourier_order: Sequence[int] | None = None,
+        fourier_order: Sequence[int] = (),
         validate: bool = True,
     ):
         self.register = register
@@ -297,12 +290,14 @@ class QuantumState:
     def _validate(self) -> None:
         values = self.norms()
         off = np.minimum(np.abs(values - 1.0), np.abs(values))
+        what = "norm" if self._pure else "trace"
         if off.max() > (NORM_ATOL if self._pure else TRACE_ATOL):
-            what = "norm" if self._pure else "trace"
             raise ValueError(
                 f"state {what} must be 1 (or 0 on an impossible branch) per grid "
                 f"point; worst deviation {off.max():.3e}"
             )
+        if values.max() < PROB_FLOOR:
+            raise ValueError(f"state {what} is 0 at every grid point")
         if not self._pure:
             herm = np.abs(self.data - np.swapaxes(self.data, -1, -2).conj()).max()
             if herm > HERM_ATOL:
@@ -384,7 +379,7 @@ class LinearOperator:
         matrix: np.ndarray,
         kind: str = "general",
         grids: Sequence[PhaseGrid] = (),
-        fourier_order: Sequence[int] | None = None,
+        fourier_order: Sequence[int] = (),
         validate: bool = True,
     ):
         if kind not in self.KINDS:

@@ -275,13 +275,10 @@ def rotation_deviation(nbar: float, theta: float = 0.0) -> float:
     r^+ a); the Hamiltonian builder carries the coupling as -omega/2 (...),
     so the scan passes omega = -Omega.
     """
-    if nbar <= 0:
-        raise ValueError("nbar must be positive")
-    cutoff = max(2, int(math.ceil(nbar + 10.0 * math.sqrt(nbar))))
-    spec = ReservoirSpec("res", nbar, cutoff)
+    spec = ReservoirSpec("res", nbar)
     res_state, _ = coherent_state(spec, theta)
     probe = build_register([("probe", 2)])
-    register = build_register([("probe", 2), ("res", cutoff)])
+    register = build_register([("probe", 2), ("res", spec.cutoff)])
     omega = 1.0
     params = HamiltonianParams(omega={"probe": -omega}, reservoir=spec)
     hamiltonian = build_hamiltonian(register, params)

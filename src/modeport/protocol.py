@@ -56,6 +56,10 @@ FAILURE = "failure"
 SUCCESS_STATUS = "success"
 FAILED_STATUS = "failed"
 
+# Phase symbols of the preparation and analysis reservoirs.
+PREP_RESERVOIR = "charlie"
+ANALYSIS_RESERVOIR = "alice"
+
 # Named pseudo-random bit generator for reproducible preparation corpora.
 GENERATOR_NAME = "pcg64"
 
@@ -71,7 +75,6 @@ class UnknownStateSpec:
 
     theta_prime: float
     phi: float
-    prep_reservoir: str = "charlie"
 
     def __post_init__(self):
         if not (math.isfinite(self.theta_prime) and math.isfinite(self.phi)):
@@ -111,13 +114,8 @@ def prepare_unknown_state(
 
     ``state`` defaults to vacuum on a register holding mode ``a`` alone.
     Applies the reservoir-assisted rotation by theta' and then the bias
-    phase phi.  ``grid`` must carry the preparation reservoir's symbol.
+    phase phi; the rotation draws its phase from ``grid``.
     """
-    if grid.symbol != spec.prep_reservoir:
-        raise ValueError(
-            f"grid symbol {grid.symbol!r} does not match the preparation "
-            f"reservoir {spec.prep_reservoir!r}"
-        )
     if state is None:
         state = basis_state(build_register([("a", 2)]), (0,))
     register = state.register
@@ -281,31 +279,21 @@ def run_teleportation(
     spec: UnknownStateSpec,
     reservoir_config: str = "distinct",
     grid_points: int = 16,
-    analysis_reservoir: str = "alice",
 ) -> ProtocolResult:
     """Execute preparation, Bell analysis and feed-forward over the grid.
 
-    With ``reservoir_config='shared'`` the analysis reuses the preparation
-    reservoir (one phase symbol); with ``'distinct'`` it uses its own.
+    The preparation reservoir is :data:`PREP_RESERVOIR`.  With
+    ``reservoir_config='shared'`` the analysis reuses it (one phase symbol);
+    with ``'distinct'`` it uses :data:`ANALYSIS_RESERVOIR`.
     Success branches reproduce the prepared state with unit fidelity at
     every grid point; the failure branch leaves mode A maximally mixed once
     the phases are averaged.
     """
     if reservoir_config not in ("shared", "distinct"):
         raise ValueError(f"unknown reservoir config {reservoir_config!r}")
-    prep_symbol = spec.prep_reservoir
-    if reservoir_config == "shared":
-        analysis_symbol = prep_symbol
-    else:
-        analysis_symbol = analysis_reservoir
-        if analysis_symbol == prep_symbol:
-            raise ValueError(
-                "distinct reservoir config needs different preparation and "
-                "analysis symbols"
-            )
-    prep_grid = PhaseGrid(prep_symbol, grid_points)
+    prep_grid = PhaseGrid(PREP_RESERVOIR, grid_points)
     analysis_grid = (
-        prep_grid if reservoir_config == "shared" else PhaseGrid(analysis_symbol, grid_points)
+        prep_grid if reservoir_config == "shared" else PhaseGrid(ANALYSIS_RESERVOIR, grid_points)
     )
 
     register = build_register([("a", 2), ("A", 2), ("B", 2)])
@@ -366,8 +354,8 @@ def run_teleportation(
     return ProtocolResult(
         spec=spec,
         reservoir_config=reservoir_config,
-        prep_symbol=prep_symbol,
-        analysis_symbol=analysis_symbol,
+        prep_symbol=prep_grid.symbol,
+        analysis_symbol=analysis_grid.symbol,
         grid_points=grid_points,
         outcomes=records,
         success_probability=success_probability,
@@ -431,49 +419,40 @@ class DenseCodingResult:
     decoded: int
     deterministic: bool
     min_winning_probability: float
-    outcome_probabilities: dict[tuple[int, int], np.ndarray]
+    outcomes: dict[tuple[int, int], MeasurementOutcome]
 
 
-def run_dense_coding(
-    message: int,
-    reservoir_config: str = "shared",
-    grid_points: int = 16,
-    reservoir: str = "bec",
-) -> DenseCodingResult:
+def run_dense_coding(message: int, grid_points: int = 16) -> DenseCodingResult:
     """Encode a two-bit message on a shared pair and decode by Bell analysis.
 
-    Encoding and analysis must draw on the same reservoir: the two-particle
-    encoded states carry the reservoir phase, and only the analysis pulses
-    from the same reservoir pick up the matching phase to cancel it.  A
-    distinct-reservoir configuration is refused because the phase matching
-    is unsatisfiable and the two-particle outcomes would stay correlated to
-    the unknowable phase difference.
+    Encoding and analysis draw on one reservoir: the two-particle encoded
+    states carry its phase, and only analysis pulses from the same reservoir
+    pick up the matching phase to cancel it.  With distinct encode and
+    analysis reservoirs the imprinted phase has nothing to cancel against,
+    the two-particle outcomes stay correlated with the unknowable phase
+    difference and decoding becomes phase dependent (selftest criterion 6
+    shows this), so only the shared configuration is offered.  Mean outcome
+    probabilities are checked against the grid: the encoded state has
+    Fourier order up to 4, so ``grid_points`` must be at least 9.
     """
     if message not in (0, 1, 2, 3):
         raise ValueError("message must be 0, 1, 2 or 3")
-    if reservoir_config != "shared":
-        raise ValueError(
-            "dense coding requires a shared reservoir: with distinct encode "
-            "and analysis reservoirs the imprinted phase has nothing to "
-            "cancel against and decoding becomes phase dependent"
-        )
-    grid = PhaseGrid(reservoir, grid_points)
+    grid = PhaseGrid("bec", grid_points)
     pair = prepare_entangled_pair()
     encoded = encode_dense_message(pair, message, "A", grid)
     analysis = bell_state_analysis(encoded, grid, modes=("A", "B"))
 
-    probabilities: dict[tuple[int, int], np.ndarray] = {}
-    for outcome in analysis.measurement.outcomes:
-        occ = (int(outcome.occupations[0]), int(outcome.occupations[1]))
-        probabilities[occ] = outcome.probability
-
-    best_occ = max(probabilities, key=lambda occ: float(np.mean(probabilities[occ])))
-    min_winning = float(np.min(probabilities[best_occ]))
+    outcomes = {
+        (int(o.occupations[0]), int(o.occupations[1])): o
+        for o in analysis.measurement.outcomes
+    }
+    best_occ = max(outcomes, key=lambda occ: outcomes[occ].mean_probability)
+    min_winning = float(np.min(outcomes[best_occ].probability))
     deterministic = min_winning >= 1.0 - 1e-12
     return DenseCodingResult(
         message=message,
         decoded=DENSE_DECODE_TABLE[best_occ],
         deterministic=deterministic,
         min_winning_probability=min_winning,
-        outcome_probabilities=probabilities,
+        outcomes=outcomes,
     )

@@ -7,6 +7,10 @@ over the phase, which removes all coherences between different total
 particle numbers.  The phase dependence lives on :class:`PhaseGrid` points
 (see :mod:`modeport.fock`), so the twirl is an exact integral whenever the
 grid satisfies the tracked Fourier-order bound.
+
+A reservoir whose state is not represented is just such a phase symbol.  A
+resolved reservoir, a mode holding a truncated coherent state, is a
+:class:`ReservoirSpec`.
 """
 
 from __future__ import annotations
@@ -28,14 +32,12 @@ SSR_ATOL = 1e-12
 
 @dataclass(frozen=True)
 class ReservoirSpec:
-    """A condensate reservoir with mean occupation ``nbar``.
+    """A resolved condensate reservoir mode with mean occupation ``nbar``.
 
-    With ``cutoff=None`` the reservoir is handled symbolically: operations
-    depend on its phase through a :class:`PhaseGrid` and the reservoir state
-    itself is never represented.  With an integer ``cutoff`` the reservoir is
-    a resolved mode whose truncated coherent state keeps occupations
-    0 .. cutoff - 1; the cutoff must be at least nbar + 10*sqrt(nbar) so the
-    truncated state retains essentially all of its norm.
+    Its truncated coherent state keeps occupations 0 .. cutoff - 1.  The
+    cutoff must be at least nbar + 10*sqrt(nbar) so the truncated state
+    retains essentially all of its norm; ``cutoff=None`` takes the smallest
+    integer the rule allows, and at least 2.
     """
 
     label: str
@@ -47,17 +49,14 @@ class ReservoirSpec:
             raise ValueError(f"reservoir label {self.label!r} is not an identifier")
         if not self.nbar > 0:
             raise ValueError("reservoir mean occupation must be positive")
-        if self.cutoff is not None:
-            needed = self.nbar + 10.0 * math.sqrt(self.nbar)
-            if self.cutoff < needed:
-                raise ValueError(
-                    f"reservoir cutoff {self.cutoff} too small for nbar={self.nbar}; "
-                    f"need at least {needed:.1f}"
-                )
-
-    @property
-    def resolved(self) -> bool:
-        return self.cutoff is not None
+        needed = self.nbar + 10.0 * math.sqrt(self.nbar)
+        if self.cutoff is None:
+            object.__setattr__(self, "cutoff", max(2, math.ceil(needed)))
+        elif self.cutoff < needed:
+            raise ValueError(
+                f"reservoir cutoff {self.cutoff} too small for nbar={self.nbar}; "
+                f"need at least {needed:.1f}"
+            )
 
 
 def twirl_state(state: QuantumState, symbol: str) -> QuantumState:
@@ -115,14 +114,12 @@ def ssr_compliance_check(state: QuantumState) -> SsrReport:
 
 
 def coherent_state(spec: ReservoirSpec, theta: float) -> tuple[QuantumState, float]:
-    """Truncated coherent state of a resolved reservoir at phase ``theta``.
+    """Truncated coherent state of a reservoir at phase ``theta``.
 
     Amplitudes are exp(-nbar/2) * (sqrt(nbar) e^{i theta})**n / sqrt(n!) on
     occupations 0 .. cutoff - 1, renormalized.  Returns the state together
     with the norm deficit of the truncated expansion before renormalization.
     """
-    if not spec.resolved:
-        raise ValueError("coherent_state needs a resolved reservoir (set cutoff)")
     n = np.arange(spec.cutoff)
     # Log-space magnitudes: n! overflows floats long before the cutoff does.
     log_mag = -spec.nbar / 2.0 + 0.5 * n * math.log(spec.nbar)

@@ -30,6 +30,8 @@ from .gates import (
 )
 from .hamiltonian import hardcore_limit_scan, reservoir_resolved_rotation
 from .protocol import (
+    ANALYSIS_RESERVOIR,
+    PREP_RESERVOIR,
     SUCCESS_STATUS,
     DenseCodingResult,
     ProtocolResult,
@@ -134,7 +136,7 @@ def decoded_exactly(result: DenseCodingResult) -> bool:
 
 def _bell_truth_table(grid_points: int) -> CriterionResult:
     register = build_register([("a", 2), ("A", 2)])
-    grid = PhaseGrid("alice", grid_points)
+    grid = PhaseGrid(ANALYSIS_RESERVOIR, grid_points)
     root = 1.0 / np.sqrt(2.0)
     cases = {
         "psi_plus": ({(0, 1): root, (1, 0): root}, (0, 0)),
@@ -173,8 +175,8 @@ def _dense_coding_contrast(grid_points: int) -> CriterionResult:
     # Distinct reservoirs, evaluated with the gate primitives directly: the
     # two-particle (phi-sector) outcome probabilities must depend on the
     # phase difference, so decoding cannot be deterministic.
-    encode_grid = PhaseGrid("charlie", grid_points)
-    analysis_grid = PhaseGrid("alice", grid_points)
+    encode_grid = PhaseGrid(PREP_RESERVOIR, grid_points)
+    analysis_grid = PhaseGrid(ANALYSIS_RESERVOIR, grid_points)
     pair = prepare_entangled_pair()
     encoded = encode_dense_message(pair, 2, "A", encode_grid)
     analysis = bell_state_analysis(encoded, analysis_grid, modes=("A", "B"))
@@ -236,7 +238,7 @@ def _structural_checks(grid_points: int) -> CriterionResult:
     # All gates unitary at every grid point (checked at construction; the
     # explicit residual is recorded here).
     qubits = build_register([("a", 2), ("A", 2)])
-    grid = PhaseGrid("alice", grid_points)
+    grid = PhaseGrid(ANALYSIS_RESERVOIR, grid_points)
     gate_dev = 0.0
     for gate in (
         phase_gate(qubits, "a", 0.62),

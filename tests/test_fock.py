@@ -516,6 +516,17 @@ class TestStateInvariants:
         with pytest.raises(ValueError, match="semidefinite"):
             QuantumState(reg, bad)
 
+    def test_annihilated_state_rejected(self):
+        reg = build_register([("m", 3)])
+        lower = ladder_operator(reg, "m", "annihilate")
+        with pytest.raises(ValueError, match="0 at every grid point"):
+            embed_and_apply(basis_state(reg, (0,)), lower)
+
+    def test_empty_amplitudes_rejected(self):
+        reg = build_register([("m", 3)])
+        with pytest.raises(ValueError, match="0 at every grid point"):
+            from_amplitudes(reg, {})
+
     def test_random_unitaries_preserve_norm(self):
         rng = np.random.default_rng(8)
         reg = build_register([("A", 2), ("B", 3)])
@@ -565,6 +576,17 @@ class TestPhaseGridStates:
         state = QuantumState(reg, data, grids=(grid,), fourier_order=(1,))
         assert state.phase_symbols == ("theta",)
         assert state.grid_shape == (16,)
+
+    def test_grids_need_fourier_order(self):
+        # Without an order the exact-average check would have nothing to test.
+        reg = build_register([("A", 2)])
+        grid = PhaseGrid("theta", 16)
+        vacuum = np.broadcast_to(np.array([1.0, 0.0], dtype=complex), (16, 2))
+        with pytest.raises(ValueError, match="fourier_order"):
+            QuantumState(reg, vacuum, grids=(grid,))
+        identity = np.broadcast_to(np.eye(2, dtype=complex), (16, 2, 2))
+        with pytest.raises(ValueError, match="fourier_order"):
+            LinearOperator(reg, identity, kind="unitary", grids=(grid,))
 
     def test_grid_mismatch_rejected(self):
         reg = build_register([("A", 2)])

@@ -192,7 +192,8 @@ SECTOR_REGISTERS = pytest.mark.parametrize(
     ids=["three_modes", "probe_reservoir"],
 )
 
-# Default `modeport hardcore` and `modeport reservoir` CSV output, byte for byte.
+# Default `modeport hardcore`, `modeport reservoir` and `modeport densecoding`
+# output, byte for byte.
 HARDCORE_CSV = (
     "ratio,infidelity\n"
     "1,0.200084265277\n"
@@ -207,6 +208,66 @@ RESERVOIR_CSV = (
     "64,0.00790282856277\n"
     "256,0.00198018932565\n"
 )
+DENSECODING_JSON = """\
+{
+  "command": "densecoding",
+  "grid_points": 16,
+  "messages": [
+    {
+      "decoded": 0,
+      "deterministic": true,
+      "message": 0,
+      "min_winning_probability": 1.0,
+      "outcomes": [
+        {
+          "mean_probability": 1.0,
+          "n_alice": 0,
+          "n_bob": 0
+        }
+      ]
+    },
+    {
+      "decoded": 1,
+      "deterministic": true,
+      "message": 1,
+      "min_winning_probability": 1.0,
+      "outcomes": [
+        {
+          "mean_probability": 1.0,
+          "n_alice": 0,
+          "n_bob": 1
+        }
+      ]
+    },
+    {
+      "decoded": 2,
+      "deterministic": true,
+      "message": 2,
+      "min_winning_probability": 1.0,
+      "outcomes": [
+        {
+          "mean_probability": 1.0,
+          "n_alice": 1,
+          "n_bob": 1
+        }
+      ]
+    },
+    {
+      "decoded": 3,
+      "deterministic": true,
+      "message": 3,
+      "min_winning_probability": 1.0,
+      "outcomes": [
+        {
+          "mean_probability": 1.0,
+          "n_alice": 1,
+          "n_bob": 0
+        }
+      ]
+    }
+  ]
+}
+"""
 
 
 class TestSectorPropagator:
@@ -266,7 +327,12 @@ class TestSectorPropagator:
             assert np.all(u.matrix[off] == 0.0)
 
     @pytest.mark.parametrize(
-        "command,golden", [("hardcore", HARDCORE_CSV), ("reservoir", RESERVOIR_CSV)]
+        "command,golden",
+        [
+            ("hardcore", HARDCORE_CSV),
+            ("reservoir", RESERVOIR_CSV),
+            ("densecoding", DENSECODING_JSON),
+        ],
     )
     def test_default_scan_csv_bytes(self, tmp_path, command, golden):
         out = tmp_path / "scan.csv"

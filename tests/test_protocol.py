@@ -227,7 +227,7 @@ class TestTeleportation:
         ]
         for spec in cardinals:
             result = run_teleportation(spec)
-            grid = PhaseGrid(spec.prep_reservoir, result.grid_points)
+            grid = PhaseGrid(result.prep_symbol, result.grid_points)
             for rec in result.outcomes:
                 if rec.status != SUCCESS_STATUS:
                     continue
@@ -257,11 +257,6 @@ class TestTeleportation:
         result = run_teleportation(UnknownStateSpec(1.3, 5.1))
         assert result.ssr_compliant
         assert result.ssr_report.max_offblock_norm < 1e-12
-
-    def test_shared_symbol_collision_rejected(self):
-        spec = UnknownStateSpec(0.5, 0.5, prep_reservoir="alice")
-        with pytest.raises(ValueError, match="distinct"):
-            run_teleportation(spec, "distinct")
 
     def test_json_schema(self):
         result = run_teleportation(UnknownStateSpec(0.4, 0.2))
@@ -300,9 +295,14 @@ class TestDenseCoding:
             assert result.deterministic
             assert result.min_winning_probability > 1.0 - 1e-12
 
-    def test_distinct_reservoirs_refused(self):
-        with pytest.raises(ValueError, match="shared"):
-            run_dense_coding(0, reservoir_config="distinct")
+    def test_grid_must_resolve_encoded_state(self):
+        # Message 2 carries Fourier order 4: 8 points cannot average it exactly.
+        with pytest.raises(ValueError, match="Fourier order"):
+            run_dense_coding(2, grid_points=8)
+        for message in range(4):
+            result = run_dense_coding(message, grid_points=9)
+            assert result.decoded == message
+            assert result.deterministic
 
     def test_invalid_message(self):
         with pytest.raises(ValueError, match="message"):

@@ -185,10 +185,10 @@ class TestCoherentState:
         with pytest.raises(ValueError, match="cutoff"):
             ReservoirSpec("res", 4.0, cutoff=10)
 
-    def test_symbolic_spec_rejected_for_state(self):
-        spec = ReservoirSpec("res", 4.0)
-        with pytest.raises(ValueError, match="resolved"):
-            coherent_state(spec, 0.0)
+    def test_default_cutoff_is_smallest_allowed(self):
+        assert ReservoirSpec("res", 4.0).cutoff == 24
+        assert ReservoirSpec("res", 256.0).cutoff == 416
+        assert ReservoirSpec("res", 1e-4).cutoff == 2
 
     def test_large_nbar_norm_retained(self):
         spec = ReservoirSpec("res", 256.0, cutoff=416)
