@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .hamiltonian import hardcore_limit_scan, reservoir_resolved_rotation
+from .fock import check_register_size
+from .hamiltonian import hardcore_limit_scan, reservoir_resolved_rotation, rotation_modes
 from .protocol import (
     GENERATOR_NAME,
     SUCCESS_STATUS,
@@ -165,6 +166,12 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
             parser.error(f"--{name} must be a non-empty ascending list")
         if any(v <= 0 for v in listed):
             parser.error(f"--{name} must be positive")
+    if config.command == "reservoir":  # refused before allocating; the largest nbar is last
+        try:
+            check_register_size([dim for _, dim in rotation_modes(config.nbars[-1])])
+        except ValueError as exc:
+            print(f"modeport: --nbars {config.nbars[-1]:g}: {exc}", file=sys.stderr)
+            raise SystemExit(2) from None
     return config
 
 

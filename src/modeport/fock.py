@@ -1,9 +1,11 @@
-"""Dense Fock-space engine for small registers of bosonic modes.
+"""Fock-space engine for small registers of bosonic modes.
 
 A :class:`ModeRegister` fixes an ordered set of modes, each with its own
 occupation cutoff.  Basis states are occupation tuples enumerated
 lexicographically with the first-listed mode most significant, so the basis
-of ``[(A, 3), (B, 3)]`` runs |00>, |01>, |02>, |10>, ...
+of ``[(A, 3), (B, 3)]`` runs |00>, |01>, |02>, |10>, ...  An operator is a
+dense matrix or, if it conserves the total particle number, one block per
+total-number sector.
 
 States are pure amplitude vectors or density matrices over that basis.  A
 state may additionally depend on one or more reservoir phase angles; the
@@ -17,7 +19,9 @@ angle as a Fourier order and checked whenever an average is taken.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -29,6 +33,17 @@ TRACE_ATOL = 1e-12
 MIN_EIGVAL = -1e-10
 # Measurement outcomes below this probability are dropped.
 PROB_FLOOR = 1e-14
+# Largest register, in basis states: the reservoir scan peaks near 260 bytes
+# per state (520 MB at nbar = 10**6, 2,020,000 states), so about 1.1 GB here.
+MAX_REGISTER_DIM = 2**22
+
+
+def check_register_size(dims: Sequence[int]) -> int:
+    """Basis-state count for cutoffs ``dims``; ValueError past ``MAX_REGISTER_DIM``."""
+    dim = math.prod(dims)
+    if dim > MAX_REGISTER_DIM:
+        raise ValueError(f"register {tuple(dims)} has {dim} states, over {MAX_REGISTER_DIM}")
+    return dim
 
 
 class ModeRegister:
@@ -52,10 +67,10 @@ class ModeRegister:
         self.modes = modes
         self.labels = labels
         self.dims = tuple(dim for _, dim in modes)
-        self.dim = int(np.prod(self.dims))
+        self.dim = check_register_size(self.dims)
         self._positions = {label: i for i, label in enumerate(labels)}
         # (dim, n_modes) table of occupation tuples in basis order.
-        self.occupations = np.array(list(np.ndindex(*self.dims)), dtype=np.int64)
+        self.occupations = np.indices(self.dims, dtype=np.int64).reshape(len(modes), -1).T
         self.total_numbers = self.occupations.sum(axis=1)
 
     @property
@@ -82,6 +97,16 @@ class ModeRegister:
 
     def occupation_of(self, index: int) -> tuple[int, ...]:
         return tuple(int(n) for n in self.occupations[index])
+
+    @cached_property
+    def sectors(self) -> tuple[np.ndarray, ...]:
+        """Basis indices of the total-number sectors: one ``(count, size)`` table
+        per sector size, ascending, each row one sector's indices in ascending order."""
+        order = np.argsort(self.total_numbers, kind="stable")
+        sizes = np.bincount(self.total_numbers)
+        starts = np.cumsum(sizes) - sizes
+        present = np.flatnonzero(np.bincount(sizes))  # the sector sizes, ascending
+        return tuple(order[starts[sizes == s][:, None] + np.arange(s)] for s in present)
 
     def restricted(self, labels: Sequence[str]) -> "ModeRegister":
         """Sub-register containing ``labels``, kept in this register's order."""
@@ -368,7 +393,10 @@ class LinearOperator:
     """Matrix over a register's basis, optionally per phase-grid point.
 
     ``kind`` is one of ``unitary``, ``hermitian`` or ``general``; the first
-    two are verified at construction.
+    two are verified at construction.  A number-conserving operator may be
+    given as ``blocks``, one ``(count, size, size)`` stack per table of
+    ``register.sectors`` and no grids; its kind is verified block by block and
+    ``matrix`` is then a dense view, built anew on each request.
     """
 
     KINDS = ("unitary", "hermitian", "general")
@@ -376,36 +404,56 @@ class LinearOperator:
     def __init__(
         self,
         register: ModeRegister,
-        matrix: np.ndarray,
+        matrix: np.ndarray | None = None,
         kind: str = "general",
         grids: Sequence[PhaseGrid] = (),
         fourier_order: Sequence[int] = (),
         validate: bool = True,
+        blocks: Sequence[np.ndarray] | None = None,
     ):
         if kind not in self.KINDS:
             raise ValueError(f"unknown operator kind {kind!r}")
+        if (matrix is None) == (blocks is None):
+            raise ValueError("an operator needs either a matrix or sector blocks")
         self.register = register
         self.kind = kind
         self.grids, self.fourier_order = _sort_grids(grids, fourier_order)
-        matrix = np.asarray(matrix, dtype=np.complex128)
-        expected = tuple(g.n_points for g in self.grids) + (register.dim, register.dim)
-        if matrix.shape != expected:
-            raise ValueError(f"operator matrix has shape {matrix.shape}, expected {expected}")
-        self.matrix = matrix
+        if blocks is not None:
+            blocks = tuple(np.asarray(b, dtype=np.complex128) for b in blocks)
+            shapes = [(len(idx),) + idx.shape[1:] * 2 for idx in register.sectors]
+            if self.grids or [b.shape for b in blocks] != shapes:
+                raise ValueError(f"sector blocks need shapes {shapes} and no phase grids")
+        else:
+            matrix = np.asarray(matrix, dtype=np.complex128)
+            expected = tuple(g.n_points for g in self.grids) + (register.dim, register.dim)
+            if matrix.shape != expected:
+                raise ValueError(f"operator matrix has shape {matrix.shape}, expected {expected}")
+        self._matrix = matrix
+        self.blocks = blocks
         if validate:
             self._validate()
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self.blocks is None:
+            return self._matrix
+        dense = np.zeros((self.register.dim, self.register.dim), dtype=np.complex128)
+        for idx, block in zip(self.register.sectors, self.blocks):
+            dense[idx[:, :, None], idx[:, None, :]] = block
+        return dense
 
     @property
     def phase_symbols(self) -> tuple[str, ...]:
         return tuple(g.symbol for g in self.grids)
 
     def _validate(self) -> None:
-        if self.kind == "unitary":
-            _require_unitary(self.matrix)
-        elif self.kind == "hermitian":
-            dev = np.abs(self.matrix - np.swapaxes(self.matrix, -1, -2).conj()).max()
-            if dev > HERM_ATOL:
-                raise ValueError(f"operator is not Hermitian: deviation {dev:.3e}")
+        for matrix in self.blocks or (self._matrix,):
+            if self.kind == "unitary":
+                _require_unitary(matrix)
+            elif self.kind == "hermitian":
+                dev = np.abs(matrix - np.swapaxes(matrix, -1, -2).conj()).max()
+                if dev > HERM_ATOL:
+                    raise ValueError(f"operator is not Hermitian: deviation {dev:.3e}")
 
     def __repr__(self) -> str:
         sym = ",".join(self.phase_symbols) or "-"
@@ -486,6 +534,15 @@ def embed_matrix(
     return _permute_modes(big, [register.dims[p] for p in order], np.argsort(order), 2)
 
 
+def _apply_blocks(op: LinearOperator, data: np.ndarray, conj: bool = False) -> np.ndarray:
+    """Sector-block ``op`` (or its conjugate) on the last axis: gather, batch multiply, scatter."""
+    out = np.empty_like(data)
+    for idx, block in zip(op.register.sectors, op.blocks):
+        block = block.conj() if conj else block
+        out[..., idx] = np.einsum("kij,...kj->...ki", block, data[..., idx])
+    return out
+
+
 def embed_and_apply(
     state: QuantumState, op: LinearOperator, renormalize: bool = False
 ) -> QuantumState:
@@ -498,29 +555,35 @@ def embed_and_apply(
     the result is rescaled to unit norm per grid point, which is how norm
     loss from non-unitary operators (truncated creation, for instance) is
     absorbed explicitly; without it, a non-norm-preserving result fails
-    state validation.
+    state validation.  A sector-block operator on the state's own register is
+    applied sector by sector, and to a density matrix as U rho U^+.
     """
     register = state.register
-    order = _modes_last(register, op.register)
-    d_sub = op.register.dim
-    d_rest = register.dim // d_sub
-    copies = 1 if state.is_pure else 2
-
     grids, orders = _merge_grids(
         state.grids, state.fourier_order, op.grids, op.fourier_order
     )
-    symbols = tuple(g.symbol for g in grids)
-    mat = _expand_axes(op.matrix, op.phase_symbols, symbols)
-    data = _expand_axes(state.data, state.phase_symbols, symbols)
-    data = _permute_modes(data, register.dims, order, copies)
-    data = data.reshape(data.shape[: len(symbols)] + (d_rest, d_sub) * copies)
-    if state.is_pure:
-        out = np.einsum("...ij,...rj->...ri", mat, data)
+    if op.blocks is not None and op.register == register:
+        if state.is_pure:
+            out = _apply_blocks(op, state.data)
+        else:
+            left = _apply_blocks(op, np.swapaxes(state.data, -1, -2))
+            out = _apply_blocks(op, np.swapaxes(left, -1, -2), conj=True)
     else:
-        out = np.einsum("...ij,...rjsk,...lk->...risl", mat, data, mat.conj())
-    out = out.reshape(out.shape[: len(symbols)] + (register.dim,) * copies)
-    out = _permute_modes(out, [register.dims[p] for p in order], np.argsort(order), copies)
-
+        order = _modes_last(register, op.register)
+        d_sub = op.register.dim
+        d_rest = register.dim // d_sub
+        copies = 1 if state.is_pure else 2
+        symbols = tuple(g.symbol for g in grids)
+        mat = _expand_axes(op.matrix, op.phase_symbols, symbols)
+        data = _expand_axes(state.data, state.phase_symbols, symbols)
+        data = _permute_modes(data, register.dims, order, copies)
+        data = data.reshape(data.shape[: len(symbols)] + (d_rest, d_sub) * copies)
+        if state.is_pure:
+            out = np.einsum("...ij,...rj->...ri", mat, data)
+        else:
+            out = np.einsum("...ij,...rjsk,...lk->...risl", mat, data, mat.conj())
+        out = out.reshape(out.shape[: len(symbols)] + (register.dim,) * copies)
+        out = _permute_modes(out, [register.dims[p] for p in order], np.argsort(order), copies)
     if renormalize:
         if state.is_pure:
             norm = np.sqrt(np.sum(np.abs(out) ** 2, axis=-1, keepdims=True))

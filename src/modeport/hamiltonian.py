@@ -9,10 +9,11 @@ particles between each mode and a resolved reservoir mode:
         - sum_i omega_i/2 (a_i^+ a_res + a_res^+ a_i)
 
 Units use hbar = 1 throughout; times are meaningful only as products with
-the named couplings.  Evolution is exact by eigendecomposition of each
-total-number sector, so the generator must conserve particle number.
-Sectors of equal size are diagonalized in one stacked call, and the
-propagator's unitarity is checked block by block.
+the named couplings.  Hamiltonians and propagators are held as one block per
+total-number sector (:attr:`ModeRegister.sectors`), never as dim x dim
+matrices, so the generator must conserve particle number.  Evolution is exact
+by eigendecomposition: sectors of equal size are diagonalized in one stacked
+call, and the propagator's unitarity is checked block by block.
 
 The two scans in this module quantify the two idealizations behind the gate
 library: the hard-core limit that turns tunneling into a fermionic-style
@@ -77,83 +78,93 @@ class HamiltonianParams:
             raise ValueError("omega cannot couple the reservoir mode to itself")
 
 
-def _add_hop(
-    matrix: np.ndarray, register: ModeRegister, coupling: float, left: str, right: str
-) -> None:
-    """Add -coupling/2 (a_left^+ a_right + h.c.) to ``matrix`` in place."""
-    l, r = register.position(left), register.position(right)
-    occ = register.occupations
-    src = np.flatnonzero((occ[:, r] > 0) & (occ[:, l] < register.dims[l] - 1))
-    stride = [int(np.prod(register.dims[p + 1 :], initial=1)) for p in (l, r)]
-    dst = src + stride[0] - stride[1]
-    values = -0.5 * coupling * (np.sqrt(occ[src, l] + 1.0) * np.sqrt(occ[src, r]))
-    matrix[dst, src] += values
-    matrix[src, dst] += values
-
-
 def build_hamiltonian(
     register: ModeRegister, params: HamiltonianParams
 ) -> LinearOperator:
-    """Assemble the Hermitian Hamiltonian matrix on ``register``.
+    """Assemble the Hermitian Hamiltonian on ``register`` as sector blocks.
 
     Every nonzero coupling must reference modes present in the register.
-    All terms conserve the total particle number, so when the reservoir is
-    included as a resolved mode the full matrix commutes with total n.
+    Each term is scattered straight into the blocks of ``register.sectors``,
+    so no dim x dim matrix is formed; a term entry between two total-number
+    sectors is rejected, and Hermiticity is checked block by block.
     """
-    matrix = np.zeros((register.dim, register.dim), dtype=np.complex128)
+    flat = np.zeros(sum(idx.size * idx.shape[1] for idx in register.sectors), np.complex128)
+    # Entry (i, j) of a sector's block is flat[row[i] + col[j]].
+    row = np.empty(register.dim, dtype=np.intp)
+    col = np.empty(register.dim, dtype=np.intp)
+    blocks, offset = [], 0
+    for idx in register.sectors:
+        count, size = idx.shape
+        blocks.append(flat[offset : offset + idx.size * size].reshape(count, size, size))
+        row[idx] = offset + size * np.arange(idx.size).reshape(count, size)
+        col[idx] = np.arange(size)
+        offset += idx.size * size
+
+    def add(dst: np.ndarray, src: np.ndarray, values: np.ndarray) -> None:
+        crossing = register.total_numbers[dst] != register.total_numbers[src]
+        if crossing.any():
+            leak = np.abs(values[crossing]).max()
+            raise ValueError(f"Hamiltonian changes particle number: off-sector entry {leak:.3e}")
+        flat[row[dst] + col[src]] += values
+
+    def add_hop(coupling: float, left: str, right: str) -> None:
+        """Add -coupling/2 (a_left^+ a_right + h.c.)."""
+        l, r = register.position(left), register.position(right)
+        occ = register.occupations
+        src = np.flatnonzero((occ[:, r] > 0) & (occ[:, l] < register.dims[l] - 1))
+        stride = [int(np.prod(register.dims[p + 1 :], initial=1)) for p in (l, r)]
+        dst = src + stride[0] - stride[1]
+        values = -0.5 * coupling * (np.sqrt(occ[src, l] + 1.0) * np.sqrt(occ[src, r]))
+        add(dst, src, values)
+        add(src, dst, values)
+
     if params.j_ab != 0.0:
-        _add_hop(matrix, register, params.j_ab, "A", "B")
+        add_hop(params.j_ab, "A", "B")
     if params.j_aa != 0.0:
-        _add_hop(matrix, register, params.j_aa, "a", "A")
+        add_hop(params.j_aa, "a", "A")
     diagonal = np.arange(register.dim)
     for label, u_i in params.u.items():
         n = register.occupations[:, register.position(label)]
-        matrix[diagonal, diagonal] += u_i * (n * n - n)
+        add(diagonal, diagonal, u_i * (n * n - n))
     for label, e_i in params.e.items():
         n = register.occupations[:, register.position(label)]
-        matrix[diagonal, diagonal] += e_i * n
+        add(diagonal, diagonal, e_i * n)
     if params.omega:
         res_label = params.reservoir.label
         for label, omega_i in params.omega.items():
             if omega_i != 0.0:
-                _add_hop(matrix, register, omega_i, label, res_label)
-    return LinearOperator(register, matrix, kind="hermitian")
+                add_hop(omega_i, label, res_label)
+    return LinearOperator(register, blocks=blocks, kind="hermitian")
 
 
 def propagator(hamiltonian: LinearOperator, t: float) -> LinearOperator:
-    """Unitary exp(-i H t), exact by eigendecomposition of each number sector.
+    """Unitary exp(-i H t) as sector blocks, exact by eigendecomposition.
 
-    H must be a ``kind="hermitian"`` operator, whose Hermiticity was checked
-    at construction, and conserve total particle number: any entry above
-    ``HERM_ATOL`` between two total-number sectors is rejected.  Sectors of
-    equal size are diagonalized in one stacked ``eigh`` call, and unitarity
-    is checked per block: every entry outside the blocks is exactly zero.
+    H must be a ``kind="hermitian"`` operator (checked at construction) that
+    conserves total particle number.  A sector-block H is used as it is; a
+    dense H is rejected if an entry between two sectors exceeds ``HERM_ATOL``,
+    and its blocks are gathered.  Each sector size is diagonalized in one
+    stacked ``eigh`` call and each block's unitarity is checked; no
+    dim x dim array is formed.
     """
     if hamiltonian.grids:
         raise ValueError("Hamiltonians must not carry phase symbols")
     if hamiltonian.kind != "hermitian":
         raise ValueError(f"Hamiltonian must be a Hermitian operator, not {hamiltonian.kind!r}")
-    h = hamiltonian.matrix
-    leak = _max_offsector_entry(h, hamiltonian.register)
-    if leak > HERM_ATOL:
-        raise ValueError(f"Hamiltonian changes particle number: off-sector entry {leak:.3e}")
-    u = np.zeros_like(h)
-    sectors = hamiltonian.register.total_numbers
-    # Basis indices grouped by sector, each sector ascending and contiguous.
-    order = np.argsort(sectors, kind="stable")
-    sizes = np.bincount(sectors)
-    starts = np.cumsum(sizes) - sizes
-    for size in range(1, sizes.max() + 1):
-        first = starts[sizes == size]
-        if first.size == 0:
-            continue
-        idx = order[first[:, None] + np.arange(size)]
-        rows, cols = idx[:, :, None], idx[:, None, :]
-        w, v = np.linalg.eigh(h[rows, cols])
-        blocks = (v * np.exp(-1j * w * t)[:, None, :]) @ np.swapaxes(v.conj(), -1, -2)
-        _require_unitary(blocks)
-        u[rows, cols] = blocks
-    return LinearOperator(hamiltonian.register, u, kind="unitary", validate=False)
+    register = hamiltonian.register
+    blocks = hamiltonian.blocks
+    if blocks is None:
+        h = hamiltonian.matrix
+        leak = _max_offsector_entry(h, register)
+        if leak > HERM_ATOL:
+            raise ValueError(f"Hamiltonian changes particle number: off-sector entry {leak:.3e}")
+        blocks = [h[idx[:, :, None], idx[:, None, :]] for idx in register.sectors]
+    unitaries = []
+    for block in blocks:
+        w, v = np.linalg.eigh(block)
+        unitaries.append((v * np.exp(-1j * w * t)[:, None, :]) @ np.swapaxes(v.conj(), -1, -2))
+        _require_unitary(unitaries[-1])
+    return LinearOperator(register, blocks=unitaries, kind="unitary", validate=False)
 
 
 def evolve(state: QuantumState, hamiltonian: LinearOperator, t: float) -> QuantumState:
@@ -261,6 +272,11 @@ def hardcore_limit_scan(
 # -- reservoir limit ---------------------------------------------------------
 
 
+def rotation_modes(nbar: float) -> list[tuple[str, int]]:
+    """:func:`rotation_deviation`'s modes, a qubit probe and the reservoir; no allocation."""
+    return [("probe", 2), ("res", ReservoirSpec("res", nbar).cutoff)]
+
+
 def rotation_deviation(nbar: float, theta: float = 0.0) -> float:
     """Deviation of the resolved-reservoir rotation from the ideal one.
 
@@ -278,7 +294,7 @@ def rotation_deviation(nbar: float, theta: float = 0.0) -> float:
     spec = ReservoirSpec("res", nbar)
     res_state, _ = coherent_state(spec, theta)
     probe = build_register([("probe", 2)])
-    register = build_register([("probe", 2), ("res", spec.cutoff)])
+    register = build_register(rotation_modes(nbar))
     omega = 1.0
     params = HamiltonianParams(omega={"probe": -omega}, reservoir=spec)
     hamiltonian = build_hamiltonian(register, params)

@@ -120,13 +120,14 @@ def coherent_state(spec: ReservoirSpec, theta: float) -> tuple[QuantumState, flo
     occupations 0 .. cutoff - 1, renormalized.  Returns the state together
     with the norm deficit of the truncated expansion before renormalization.
     """
+    # Built first, so a cutoff past MAX_REGISTER_DIM is refused before any allocation.
+    register = ModeRegister([(spec.label, spec.cutoff)])
     n = np.arange(spec.cutoff)
     # Log-space magnitudes: n! overflows floats long before the cutoff does.
     log_mag = -spec.nbar / 2.0 + 0.5 * n * math.log(spec.nbar)
-    log_mag -= 0.5 * np.array([math.lgamma(k + 1.0) for k in n])
+    log_mag -= 0.5 * np.fromiter(map(math.lgamma, (n + 1.0).tolist()), np.float64, n.size)
     amps = np.exp(log_mag) * np.exp(1j * theta * n)
     norm_sq = float(np.sum(np.abs(amps) ** 2))
     deficit = 1.0 - norm_sq
-    register = ModeRegister([(spec.label, spec.cutoff)])
     state = QuantumState(register, amps / math.sqrt(norm_sq))
     return state, deficit
