@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fock import check_register_size
+from .fock import MAX_REGISTER_DIM, check_register_size
 from .hamiltonian import hardcore_limit_scan, reservoir_resolved_rotation, rotation_modes
 from .protocol import (
     GENERATOR_NAME,
@@ -45,6 +45,19 @@ class RunConfig:
     out: str | None = None
     ratios: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0)
     nbars: tuple[float, ...] = (4.0, 16.0, 64.0, 256.0)
+
+
+def _grid_entries(config: RunConfig) -> int:
+    """Entries of the largest gridded array ``config``'s command allocates.
+
+    The three-mode teleport state (dim 8) carries one grid axis per reservoir,
+    so M**2 * 8 amplitudes (M * 8 with a shared reservoir); dense coding's
+    two-mode states carry one grid, at most M * 16 entries as density matrices.
+    """
+    m = config.grid_points
+    if config.command == "densecoding":
+        return 16 * m
+    return 8 * m ** (1 if config.shared_reservoir else 2)
 
 
 def _parse_list(text: str) -> tuple[float, ...]:
@@ -166,6 +179,14 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
             parser.error(f"--{name} must be a non-empty ascending list")
         if any(v <= 0 for v in listed):
             parser.error(f"--{name} must be positive")
+    entries = _grid_entries(config) if "grid_points" in names else 0
+    if entries > MAX_REGISTER_DIM:  # refused before allocating
+        print(
+            f"modeport: --grid {config.grid_points}: largest gridded array has "
+            f"{entries} entries, over {MAX_REGISTER_DIM}",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
     if config.command == "reservoir":  # refused before allocating; the largest nbar is last
         try:
             check_register_size([dim for _, dim in rotation_modes(config.nbars[-1])])

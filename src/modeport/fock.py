@@ -551,7 +551,13 @@ def embed_and_apply(
     The state's mode axes are moved so the operator's modes come last, in
     operator-register order, and only those are contracted with its matrix;
     a full-register operator is the case with no other modes.  Phase-grid
-    axes are aligned by symbol and applied pointwise.  With ``renormalize``
+    axes are aligned by symbol and applied pointwise.  A gridded operator on
+    a pure state has its modes moved first instead, just after the grid
+    axes: its matrix varies along a grid axis, so einsum cannot merge the
+    grid and other-mode axes, and with the operator's modes last its inner
+    loop would run over the 2- or 4-long contracted axis rather than the
+    long other-mode axis.  Ungridded gates are as fast or faster with their
+    modes last, so they keep that layout.  With ``renormalize``
     the result is rescaled to unit norm per grid point, which is how norm
     loss from non-unitary operators (truncated creation, for instance) is
     absorbed explicitly; without it, a non-norm-preserving result fails
@@ -573,12 +579,18 @@ def embed_and_apply(
         d_sub = op.register.dim
         d_rest = register.dim // d_sub
         copies = 1 if state.is_pure else 2
+        targets_first = state.is_pure and bool(op.grids)
+        if targets_first:
+            order = order[-op.register.n_modes :] + order[: -op.register.n_modes]
         symbols = tuple(g.symbol for g in grids)
         mat = _expand_axes(op.matrix, op.phase_symbols, symbols)
         data = _expand_axes(state.data, state.phase_symbols, symbols)
         data = _permute_modes(data, register.dims, order, copies)
-        data = data.reshape(data.shape[: len(symbols)] + (d_rest, d_sub) * copies)
-        if state.is_pure:
+        shape = (d_sub, d_rest) if targets_first else (d_rest, d_sub) * copies
+        data = data.reshape(data.shape[: len(symbols)] + shape)
+        if targets_first:
+            out = np.einsum("...ij,...jr->...ir", mat, data)
+        elif state.is_pure:
             out = np.einsum("...ij,...rj->...ri", mat, data)
         else:
             out = np.einsum("...ij,...rjsk,...lk->...risl", mat, data, mat.conj())

@@ -39,7 +39,6 @@ from .fock import (
     build_register,
     embed_and_apply,
     partial_trace,
-    tensor,
     trace_distance,
 )
 from .gates import number_rotation_matrix
@@ -303,7 +302,7 @@ def rotation_deviation(nbar: float, theta: float = 0.0) -> float:
     ideal = number_rotation_matrix(np.pi / 4, theta)
     worst = 0.0
     for occ in (0, 1):
-        joint = tensor(basis_state(probe, (occ,)), res_state)
+        joint = QuantumState(register, np.kron(basis_state(probe, (occ,)).data, res_state.data))
         evolved = embed_and_apply(joint, pulse)
         reduced = partial_trace(evolved, ["probe"])
         target = QuantumState(probe, ideal[:, occ])
