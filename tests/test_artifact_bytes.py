@@ -1,0 +1,306 @@
+"""Artifact bytes of the teleportation commands, pinned byte for byte.
+
+Several fields sit at the round-off floor (``failure_mode_a_distance`` near
+1e-16, failure-branch ``fidelity_min`` near 1e-33), so any change in the order
+of the arithmetic behind a gate application shows up here.  Never regenerate
+these strings to make a test pass.
+"""
+
+import pytest
+
+from modeport.cli import main
+
+TELEPORT_JSON = """\
+{
+  "outcomes": [
+    {
+      "classification": "psi_plus",
+      "fidelity_mean": 1.0,
+      "fidelity_min": 1.0,
+      "n_A": 0,
+      "n_a": 0,
+      "probability": 0.25
+    },
+    {
+      "classification": "psi_minus",
+      "fidelity_mean": 1.0,
+      "fidelity_min": 1.0,
+      "n_A": 1,
+      "n_a": 0,
+      "probability": 0.25
+    },
+    {
+      "classification": "failure",
+      "fidelity_mean": 0.5,
+      "fidelity_min": 6.60874676192e-35,
+      "n_A": 0,
+      "n_a": 1,
+      "probability": 0.25
+    },
+    {
+      "classification": "failure",
+      "fidelity_mean": 0.5,
+      "fidelity_min": 3.08148791102e-33,
+      "n_A": 1,
+      "n_a": 1,
+      "probability": 0.25
+    }
+  ],
+  "reservoirs": {
+    "analysis": "alice",
+    "config": "distinct",
+    "grid_points": 16,
+    "preparation": "charlie"
+  },
+  "spec": {
+    "phi": 0.0,
+    "theta_prime": 0.785398163397
+  },
+  "ssr_compliant": true,
+  "success_probability": 0.5
+}
+"""
+
+TELEPORT_SHARED_JSON = """\
+{
+  "outcomes": [
+    {
+      "classification": "psi_plus",
+      "fidelity_mean": 1.0,
+      "fidelity_min": 1.0,
+      "n_A": 0,
+      "n_a": 0,
+      "probability": 0.25
+    },
+    {
+      "classification": "psi_minus",
+      "fidelity_mean": 1.0,
+      "fidelity_min": 1.0,
+      "n_A": 1,
+      "n_a": 0,
+      "probability": 0.25
+    },
+    {
+      "classification": "failure",
+      "fidelity_mean": 1.0,
+      "fidelity_min": 1.0,
+      "n_A": 0,
+      "n_a": 1,
+      "probability": 0.25
+    },
+    {
+      "classification": "failure",
+      "fidelity_mean": 8.08890576643e-33,
+      "fidelity_min": 3.08148791102e-33,
+      "n_A": 1,
+      "n_a": 1,
+      "probability": 0.25
+    }
+  ],
+  "reservoirs": {
+    "analysis": "charlie",
+    "config": "shared",
+    "grid_points": 16,
+    "preparation": "charlie"
+  },
+  "spec": {
+    "phi": 0.0,
+    "theta_prime": 0.785398163397
+  },
+  "ssr_compliant": true,
+  "success_probability": 0.5
+}
+"""
+
+SWEEP_20_SEED_7_JSON = """\
+{
+  "aggregate": {
+    "all_ssr_compliant": true,
+    "max_success_probability_error": 5.55111512313e-17,
+    "min_success_fidelity": 1.0
+  },
+  "command": "sweep",
+  "generator": "pcg64",
+  "grid_points": 16,
+  "n": 20,
+  "reservoirs": "distinct",
+  "runs": [
+    {
+      "failure_mode_a_distance": 1.94289029309e-16,
+      "fidelity_min_success": 1.0,
+      "phi": 1.35282444926,
+      "ssr_compliant": true,
+      "success_probability": 0.5,
+      "theta_prime": 0.981897662839
+    },
+    {
+      "failure_mode_a_distance": 6.16803368712e-17,
+      "fidelity_min_success": 1.0,
+      "phi": 1.00664189717,
+      "ssr_compliant": true,
+      "success_probability": 0.5,
+      "theta_prime": 1.40934014291
+    },
+    {
+      "failure_mode_a_distance": 1.66533453694e-16,
+      "fidelity_min_success": 1.0,
+      "phi": 3.84869984163,
+      "ssr_compliant": true,
+      "success_probability": 0.5,
+      "theta_prime": 1.21844423298
+    },
+    {
+      "failure_mode_a_distance": 2.22044604925e-16,
+      "fidelity_min_success": 1.0,
+      "phi": 0.276095778791,
+      "ssr_compliant": true,
+      "success_probability": 0.5,
+      "theta_prime": 0.353754626805
+    },
+    {
+      "failure_mode_a_distance": 1.94289029309e-16,
+      "fidelity_min_success": 1.0,
+      "phi": 0.224185803346,
+      "ssr_compliant": true,
+      "success_probability": 0.5,
+      "theta_prime": 0.471500097766
+    },
+    {
+      "failure_mode_a_distance": 1.03293460802e-16,
+      "fidelity_min_success": 1.0,
+      "phi": 3.23514187036,
+      "ssr_compliant": true,
+      "success_probability": 0.5,
+      "theta_prime": 1.37217454329
+    },
+    {
+      "failure_mode_a_distance": 1.94289029309e-16,
+      "fidelity_min_success": 1.0,
+      "phi": 2.92925884844,
+      "ssr_compliant": true,
+      "success_probability": 0.5,
+      "theta_prime": 0.00827072107106
+    },
+    {
+      "failure_mode_a_distance": 1.66533453694e-16,
+      "fidelity_min_success": 1.0,
+      "phi": 5.76273507674,
+      "ssr_compliant": true,
+      "success_probability": 0.5,
+      "theta_prime": 1.28998258306
+    },
+    {
+      "failure_mode_a_distance": 1.66533453694e-16,
+      "fidelity_min_success": 1.0,
+      "phi": 3.95354515711,
+      "ssr_compliant": true,
+      "success_probability": 0.5,
+      "theta_prime": 1.25203373088
+    },
+    {
+      "failure_mode_a_distance": 5.9791366093e-17,
+      "fidelity_min_success": 1.0,
+      "phi": 3.23029644328,
+      "ssr_compliant": true,
+      "success_probability": 0.5,
+      "theta_prime": 0.735030505106
+    },
+    {
+      "failure_mode_a_distance": 1.66533453694e-16,
+      "fidelity_min_success": 1.0,
+      "phi": 3.12194786879,
+      "ssr_compliant": true,
+      "success_probability": 0.5,
+      "theta_prime": 0.476002222948
+    },
+    {
+      "failure_mode_a_distance": 1.11022302463e-16,
+      "fidelity_min_success": 1.0,
+      "phi": 1.55518212139,
+      "ssr_compliant": true,
+      "success_probability": 0.5,
+      "theta_prime": 0.437349928774
+    },
+    {
+      "failure_mode_a_distance": 1.38777878078e-16,
+      "fidelity_min_success": 1.0,
+      "phi": 0.0741040480012,
+      "ssr_compliant": true,
+      "success_probability": 0.5,
+      "theta_prime": 0.400348212099
+    },
+    {
+      "failure_mode_a_distance": 4.65475153734e-17,
+      "fidelity_min_success": 1.0,
+      "phi": 1.20889832416,
+      "ssr_compliant": true,
+      "success_probability": 0.5,
+      "theta_prime": 0.699124226424
+    },
+    {
+      "failure_mode_a_distance": 8.32667268469e-17,
+      "fidelity_min_success": 1.0,
+      "phi": 4.34816605402,
+      "ssr_compliant": true,
+      "success_probability": 0.5,
+      "theta_prime": 0.792542551862
+    },
+    {
+      "failure_mode_a_distance": 1.94289029309e-16,
+      "fidelity_min_success": 1.0,
+      "phi": 1.26044922068,
+      "ssr_compliant": true,
+      "success_probability": 0.5,
+      "theta_prime": 0.869431607529
+    },
+    {
+      "failure_mode_a_distance": 1.27188144864e-16,
+      "fidelity_min_success": 1.0,
+      "phi": 2.32186511725,
+      "ssr_compliant": true,
+      "success_probability": 0.5,
+      "theta_prime": 1.56372818854
+    },
+    {
+      "failure_mode_a_distance": 7.31932030602e-17,
+      "fidelity_min_success": 1.0,
+      "phi": 0.0234629347951,
+      "ssr_compliant": true,
+      "success_probability": 0.5,
+      "theta_prime": 1.24511043109
+    },
+    {
+      "failure_mode_a_distance": 5.81585287368e-17,
+      "fidelity_min_success": 1.0,
+      "phi": 5.21534370015,
+      "ssr_compliant": true,
+      "success_probability": 0.5,
+      "theta_prime": 0.977316848214
+    },
+    {
+      "failure_mode_a_distance": 6.20512815882e-17,
+      "fidelity_min_success": 1.0,
+      "phi": 0.970507595056,
+      "ssr_compliant": true,
+      "success_probability": 0.5,
+      "theta_prime": 1.55345496733
+    }
+  ],
+  "seed": 7
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (["teleport"], TELEPORT_JSON),
+        (["teleport", "--shared-reservoir"], TELEPORT_SHARED_JSON),
+        (["sweep", "--n", "20", "--seed", "7"], SWEEP_20_SEED_7_JSON),
+    ],
+    ids=["teleport", "teleport-shared", "sweep-n20-seed7"],
+)
+def test_protocol_artifact_bytes(tmp_path, argv, golden):
+    out = tmp_path / "artifact.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == golden.encode()

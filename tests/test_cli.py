@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -28,6 +29,41 @@ class TestParsing:
         with pytest.raises(SystemExit) as exc:
             parse_config(["teleport", "--grid", "8"])
         assert exc.value.code != 0
+
+    # (command, largest grid whose largest gridded array fits in MAX_REGISTER_DIM):
+    # M**2 * 8 <= 2**22 with two reservoirs, M * 8 with one, M * 16 for dense coding.
+    @pytest.mark.parametrize(
+        "argv,largest",
+        [
+            (["teleport"], 724),
+            (["teleport", "--shared-reservoir"], 2**19),
+            (["sweep"], 724),
+            (["sweep", "--shared-reservoir"], 2**19),
+            (["selftest"], 724),
+            (["densecoding"], 2**18),
+        ],
+    )
+    def test_grid_bound(self, argv, largest, capsys):
+        assert parse_config(argv + ["--grid", str(largest)]).grid_points == largest
+        with pytest.raises(SystemExit) as exc:
+            parse_config(argv + ["--grid", str(largest + 1)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"modeport: --grid {largest + 1}: ") and "over 4194304" in err
+
+    def test_huge_grid_refused_before_allocating(self, tmp_path):
+        out = tmp_path / "teleport.json"
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(["teleport", "--grid", "100000", "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == 2
+        assert peak < 1_000_000
+        assert not out.exists()
 
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
