@@ -21,7 +21,6 @@ from .fock import (
     ladder_operator,
     measure_number,
     partial_trace,
-    tensor,
     trace_distance,
 )
 from .gates import (

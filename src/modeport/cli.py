@@ -60,6 +60,16 @@ def _grid_entries(config: RunConfig) -> int:
     return 8 * m ** (1 if config.shared_reservoir else 2)
 
 
+# Peak RSS grows with --n: a sweep keeps one JSON row per run, about 2.5 KB
+# (39.4 MB peak at n = 200, 43.8 MB at n = 2,000), and selftest keeps every
+# run's per-grid-point records, about 51 KB at the default 16-point grid (40.3 MB
+# at n = 20, 49.4 MB at n = 200; growing as M**2).  n is refused past the
+# MAX_REGISTER_DIM budget of 260 bytes per state, about 1.1 GB: so n <= 436,207
+# for sweep and n <= 21,299 for selftest.
+RUN_BYTES_BUDGET = 260 * MAX_REGISTER_DIM
+RUN_BYTES = {"sweep": 2_500, "selftest": 51_200}
+
+
 def _parse_list(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
@@ -184,6 +194,13 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         print(
             f"modeport: --grid {config.grid_points}: largest gridded array has "
             f"{entries} entries, over {MAX_REGISTER_DIM}",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
+    kept = config.n * RUN_BYTES.get(config.command, 0)
+    if kept > RUN_BYTES_BUDGET:  # refused before the corpus is drawn
+        print(
+            f"modeport: --n {config.n}: runs keep about {kept} bytes, over {RUN_BYTES_BUDGET}",
             file=sys.stderr,
         )
         raise SystemExit(2)

@@ -307,32 +307,43 @@ class QuantumState:
     def norms(self) -> np.ndarray:
         """Per-grid-point 2-norm (pure) or trace (density)."""
         if self._pure:
-            return np.sqrt(np.sum(np.abs(self.data) ** 2, axis=-1))
+            # Real view: each amplitude as (re, im), so the norm is one dot product.
+            parts = np.ascontiguousarray(self.data).view(np.float64)
+            return np.sqrt(np.einsum("...i,...i->...", parts, parts))
         return np.real(np.trace(self.data, axis1=-2, axis2=-1))
 
     # -- validation --------------------------------------------------------
 
     def _validate(self) -> None:
+        # Each test reads "not (dev <= tol)", so a NaN deviation fails it.
         values = self.norms()
-        off = np.minimum(np.abs(values - 1.0), np.abs(values))
+        off = np.minimum(np.abs(values - 1.0), np.abs(values)).max()
         what = "norm" if self._pure else "trace"
-        if off.max() > (NORM_ATOL if self._pure else TRACE_ATOL):
+        if not off <= (NORM_ATOL if self._pure else TRACE_ATOL):
             raise ValueError(
                 f"state {what} must be 1 (or 0 on an impossible branch) per grid "
-                f"point; worst deviation {off.max():.3e}"
+                f"point; worst deviation {off:.3e}"
             )
         if values.max() < PROB_FLOOR:
             raise ValueError(f"state {what} is 0 at every grid point")
         if not self._pure:
             herm = np.abs(self.data - np.swapaxes(self.data, -1, -2).conj()).max()
-            if herm > HERM_ATOL:
+            if not herm <= HERM_ATOL:
                 raise ValueError(f"density matrix not Hermitian: deviation {herm:.3e}")
-            eigs = np.linalg.eigvalsh(self.data)
-            if eigs.min() < MIN_EIGVAL:
-                raise ValueError(
-                    f"density matrix not positive semidefinite: min eigenvalue "
-                    f"{eigs.min():.3e}"
-                )
+            # PSD screen: Cholesky of rho + (|MIN_EIGVAL|/2) I succeeds only if
+            # lambda_min > MIN_EIGVAL / 2 up to round-off, which the eigenvalue
+            # rule accepts; the half-bound margin leaves eigvalsh, run only when
+            # the screen fails, to decide every case near the bound.
+            shift = (0.5 * abs(MIN_EIGVAL)) * np.eye(self.register.dim)
+            try:
+                np.linalg.cholesky(self.data + shift)
+            except np.linalg.LinAlgError:
+                eigs = np.linalg.eigvalsh(self.data)
+                if not eigs.min() >= MIN_EIGVAL:
+                    raise ValueError(
+                        f"density matrix not positive semidefinite: min eigenvalue "
+                        f"{eigs.min():.3e}"
+                    ) from None
 
     def __repr__(self) -> str:
         kind = "pure" if self._pure else "density"
@@ -364,16 +375,6 @@ def from_amplitudes(
     return QuantumState(register, vec)
 
 
-def tensor(a: QuantumState, b: QuantumState) -> QuantumState:
-    """Tensor product of two pure, phase-symbol-free states."""
-    if not (a.is_pure and b.is_pure):
-        raise ValueError("tensor requires pure states")
-    if a.grids or b.grids:
-        raise ValueError("tensor requires phase-symbol-free states")
-    register = ModeRegister(a.register.modes + b.register.modes)
-    return QuantumState(register, np.kron(a.data, b.data))
-
-
 def _max_offsector_entry(matrix: np.ndarray, register: ModeRegister) -> float:
     """Largest |entry| of a dim x dim matrix between two total-number sectors."""
     totals = register.total_numbers
@@ -385,7 +386,7 @@ def _require_unitary(matrix: np.ndarray) -> None:
     """Reject a stack of square matrices unless each has max |U+U - I| <= NORM_ATOL."""
     prod = np.swapaxes(matrix.conj(), -1, -2) @ matrix
     dev = np.abs(prod - np.eye(matrix.shape[-1])).max()
-    if dev > NORM_ATOL:
+    if not dev <= NORM_ATOL:
         raise ValueError(f"operator is not unitary: max |U+U - I| = {dev:.3e}")
 
 
@@ -452,7 +453,7 @@ class LinearOperator:
                 _require_unitary(matrix)
             elif self.kind == "hermitian":
                 dev = np.abs(matrix - np.swapaxes(matrix, -1, -2).conj()).max()
-                if dev > HERM_ATOL:
+                if not dev <= HERM_ATOL:
                     raise ValueError(f"operator is not Hermitian: deviation {dev:.3e}")
 
     def __repr__(self) -> str:

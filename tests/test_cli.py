@@ -65,6 +65,38 @@ class TestParsing:
         assert peak < 1_000_000
         assert not out.exists()
 
+    # (command, largest --n whose runs fit in 260 * MAX_REGISTER_DIM bytes):
+    # about 2.5 KB per sweep run and 51 KB per selftest run.
+    @pytest.mark.parametrize(
+        "argv,largest",
+        [
+            (["sweep"], 436_207),
+            (["sweep", "--shared-reservoir"], 436_207),
+            (["selftest"], 21_299),
+        ],
+    )
+    def test_n_bound(self, argv, largest, capsys):
+        assert parse_config(argv + ["--n", str(largest)]).n == largest
+        with pytest.raises(SystemExit) as exc:
+            parse_config(argv + ["--n", str(largest + 1)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"modeport: --n {largest + 1}: ") and "over 1090519040" in err
+
+    def test_huge_n_refused_before_allocating(self, tmp_path):
+        out = tmp_path / "sweep.json"
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep", "--n", "1000000000000", "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == 2
+        assert peak < 1_000_000
+        assert not out.exists()
+
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
             parse_config(["teleport", "--bogus", "1"])

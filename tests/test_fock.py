@@ -16,7 +16,6 @@ from modeport.fock import (
     ladder_operator,
     measure_number,
     partial_trace,
-    tensor,
     trace_distance,
 )
 from modeport.gates import hopping_gate
@@ -536,13 +535,6 @@ class TestStateInvariants:
             op = LinearOperator(reg, u, kind="unitary")
             state = embed_and_apply(state, op)
         assert abs(np.linalg.norm(state.data) - 1.0) < 1e-12
-
-    def test_tensor_product(self):
-        a = basis_state(build_register([("A", 2)]), (1,))
-        b = basis_state(build_register([("B", 3)]), (2,))
-        joint = tensor(a, b)
-        assert joint.register.labels == ("A", "B")
-        assert abs(joint.data[joint.register.index_of((1, 2))] - 1.0) < 1e-15
 
     def test_operator_unitary_check(self):
         reg = build_register([("A", 2)])

@@ -379,6 +379,20 @@ class TestHardcoreScan:
         for ratio, infidelity in scan:
             assert infidelity == pytest.approx(HARDCORE_REGRESSION[ratio], rel=1e-6)
 
+    def test_limit_law_infidelity_times_ratio_squared(self):
+        # The infidelity falls as c' (J/U)**2 in the hard-core limit, c' = 0.6169
+        # (0.61745 at U/J = 100, 0.616856 at 10**3 and 0.616850 at 10**4).
+        for ratio, infidelity in hardcore_limit_scan([1e3, 1e4]):
+            assert 0.6168 <= infidelity * ratio**2 <= 0.6170
+
+    def test_nan_time_rejected(self):
+        reg = build_register([("A", 3), ("B", 3)])
+        h = build_hamiltonian(reg, HamiltonianParams(j_ab=1.0, u={"A": 2.0, "B": 2.0}))
+        with pytest.raises(ValueError, match="unitary"):
+            propagator(h, float("nan"))
+        with pytest.raises(ValueError, match="unitary"):
+            evolve(basis_state(reg, (1, 0)), h, float("nan"))
+
     def test_invalid_ratios(self):
         with pytest.raises(ValueError, match="positive"):
             hardcore_limit_scan([-1.0, 1.0])
