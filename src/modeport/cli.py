@@ -60,12 +60,12 @@ def _grid_entries(config: RunConfig) -> int:
     return 8 * m ** (1 if config.shared_reservoir else 2)
 
 
-# Peak RSS grows with --n: a sweep keeps one JSON row per run, about 2.5 KB
-# (39.4 MB peak at n = 200, 43.8 MB at n = 2,000), and selftest keeps every
-# run's per-grid-point records, about 51 KB at the default 16-point grid (40.3 MB
-# at n = 20, 49.4 MB at n = 200; growing as M**2).  n is refused past the
+# Peak RSS grows with --n for a sweep, which keeps one JSON row per run, about
+# 2.5 KB (39.4 MB peak at n = 200, 43.8 MB at n = 2,000).  n is refused past the
 # MAX_REGISTER_DIM budget of 260 bytes per state, about 1.1 GB: so n <= 436,207
-# for sweep and n <= 21,299 for selftest.
+# for sweep.  selftest judges each run as it is made and keeps none (43 MB peak
+# at --grid 64 for n = 20 and n = 400); it keeps the bound its per-run records
+# once set, 51 KB a run, so n <= 21,299, about a minute of runs at grid 16.
 RUN_BYTES_BUDGET = 260 * MAX_REGISTER_DIM
 RUN_BYTES = {"sweep": 2_500, "selftest": 51_200}
 

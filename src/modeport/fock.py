@@ -49,7 +49,9 @@ def check_register_size(dims: Sequence[int]) -> int:
 class ModeRegister:
     """Ordered collection of bosonic modes with per-mode occupation cutoffs.
 
-    Each mode is a ``(label, dim)`` pair; occupations run 0 .. dim - 1.
+    Each mode is a ``(label, dim)`` pair; occupations run 0 .. dim - 1.  The
+    occupation, total-number and sector tables are built on first use and
+    kept with the register, as are the sub-registers ``restricted`` returns.
     """
 
     def __init__(self, modes: Iterable[tuple[str, int]]):
@@ -69,9 +71,21 @@ class ModeRegister:
         self.dims = tuple(dim for _, dim in modes)
         self.dim = check_register_size(self.dims)
         self._positions = {label: i for i, label in enumerate(labels)}
-        # (dim, n_modes) table of occupation tuples in basis order.
-        self.occupations = np.indices(self.dims, dtype=np.int64).reshape(len(modes), -1).T
-        self.total_numbers = self.occupations.sum(axis=1)
+        self._restricted: dict[tuple[str, ...], ModeRegister] = {}
+
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        """(dim, n_modes) table of occupation tuples in basis order."""
+        return np.indices(self.dims, dtype=np.int64).reshape(self.n_modes, -1).T
+
+    @cached_property
+    def total_numbers(self) -> np.ndarray:
+        return self.occupations.sum(axis=1)
+
+    @cached_property
+    def _offsector(self) -> np.ndarray:
+        """(dim, dim) mask of the entries between two total-number sectors."""
+        return self.total_numbers[:, None] != self.total_numbers
 
     @property
     def n_modes(self) -> int:
@@ -110,8 +124,11 @@ class ModeRegister:
 
     def restricted(self, labels: Sequence[str]) -> "ModeRegister":
         """Sub-register containing ``labels``, kept in this register's order."""
-        positions = sorted(self.position(label) for label in labels)
-        return ModeRegister(self.modes[p] for p in positions)
+        labels = tuple(labels)
+        if labels not in self._restricted:
+            positions = sorted(self.position(label) for label in labels)
+            self._restricted[labels] = ModeRegister(self.modes[p] for p in positions)
+        return self._restricted[labels]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ModeRegister) and self.modes == other.modes
@@ -377,8 +394,7 @@ def from_amplitudes(
 
 def _max_offsector_entry(matrix: np.ndarray, register: ModeRegister) -> float:
     """Largest |entry| of a dim x dim matrix between two total-number sectors."""
-    totals = register.total_numbers
-    offsector = totals[:, None] != totals
+    offsector = register._offsector
     return float(np.abs(matrix[offsector]).max()) if offsector.any() else 0.0
 
 

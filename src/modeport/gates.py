@@ -8,23 +8,52 @@ followed by a fixed local phase so the quarter hop lands exactly on the
 symmetric Bell state); see :func:`hopping_gate`.  The reservoir-assisted rotation
 carries the reservoir phase as a :class:`PhaseGrid` symbol and is
 instantiated at every grid point.
+
+Each builder returns a shared, read-only operator: gates are kept in one
+small bounded cache keyed on the target labels and the builder's other
+arguments, so a circuit that repeats a gate builds it once.  The key holds
+the labels, not the caller's register, so the cache keeps no large register
+alive; the targets are checked against the register on every call.
 """
 
 from __future__ import annotations
+
+import functools
+import math
+import numbers
+from typing import Callable
 
 import numpy as np
 
 from .fock import LinearOperator, ModeRegister, PhaseGrid
 
+GATE_CACHE_SIZE = 32
 
-def _qubit_subregister(register: ModeRegister, *labels: str) -> ModeRegister:
+
+@functools.lru_cache(maxsize=GATE_CACHE_SIZE)
+def _cached_gate(build: Callable, labels: tuple[str, ...], args: tuple, kinds: tuple):
+    gate = build(ModeRegister((label, 2) for label in labels), *args)
+    gate.matrix.flags.writeable = False
+    return gate
+
+
+def _shared_gate(build: Callable, register: ModeRegister, labels: tuple[str, ...], *args):
+    """``build(sub, *args)`` on the qubit sub-register of ``labels``, from the gate cache.
+
+    Equal keys must give the same bits, and -0.0 == 0.0 (whose gates differ in
+    the sign of their zeros) or float32(x) == x would not: so the key also
+    holds the type and sign of each real argument.
+    """
     if len(set(labels)) != len(labels):
         raise ValueError(f"gate targets repeat a mode: {labels}")
     for label in labels:
         dim = register.dims[register.position(label)]
         if dim != 2:
             raise ValueError(f"mode {label!r} has cutoff {dim}; gate needs a qubit mode")
-    return ModeRegister((label, 2) for label in labels)
+    kinds = tuple(
+        (type(a), math.copysign(1.0, a)) for a in args if isinstance(a, numbers.Real)
+    )
+    return _cached_gate(build, labels, args, kinds)
 
 
 def phase_gate(register: ModeRegister, mode: str, angle: float) -> LinearOperator:
@@ -33,7 +62,10 @@ def phase_gate(register: ModeRegister, mode: str, angle: float) -> LinearOperato
     Realized physically by biasing the mode's energy for a fixed time;
     angle = pi gives the Z gate |1> -> -|1>.
     """
-    sub = _qubit_subregister(register, mode)
+    return _shared_gate(_phase_gate, register, (mode,), angle)
+
+
+def _phase_gate(sub: ModeRegister, angle: float) -> LinearOperator:
     small = np.diag([1.0, np.exp(1j * angle)]).astype(np.complex128)
     return LinearOperator(sub, small, kind="unitary")
 
@@ -69,7 +101,12 @@ def number_rotation_gate(
     amplitudes, so it raises the state's Fourier order in ``grid.symbol``
     by one.
     """
-    sub = _qubit_subregister(register, mode)
+    return _shared_gate(_number_rotation_gate, register, (mode,), theta_prime, grid)
+
+
+def _number_rotation_gate(
+    sub: ModeRegister, theta_prime: float, grid: PhaseGrid
+) -> LinearOperator:
     small = number_rotation_matrix(theta_prime, grid.points)
     return LinearOperator(sub, small, kind="unitary", grids=(grid,), fourier_order=(1,))
 
@@ -84,7 +121,10 @@ def fermionic_swap_gate(
     period, where the bosons behave like spinless fermions and exchanging
     the pair contributes the antisymmetric sign.
     """
-    sub = _qubit_subregister(register, mode_j, mode_k)
+    return _shared_gate(_fermionic_swap_gate, register, (mode_j, mode_k))
+
+
+def _fermionic_swap_gate(sub: ModeRegister) -> LinearOperator:
     small = np.zeros((4, 4), dtype=np.complex128)
     small[0, 0] = 1.0
     small[2, 1] = 1.0  # |01> -> |10>
@@ -115,7 +155,10 @@ def hopping_gate(
     """
     if convention not in ("raw", "bell"):
         raise ValueError(f"unknown hopping convention {convention!r}")
-    sub = _qubit_subregister(register, mode_j, mode_k)
+    return _shared_gate(_hopping_gate, register, (mode_j, mode_k), angle, convention)
+
+
+def _hopping_gate(sub: ModeRegister, angle: float, convention: str) -> LinearOperator:
     c, s = np.cos(angle), np.sin(angle)
     small = np.zeros((4, 4), dtype=np.complex128)
     small[0, 0] = 1.0

@@ -63,6 +63,13 @@ ANALYSIS_RESERVOIR = "alice"
 # Named pseudo-random bit generator for reproducible preparation corpora.
 GENERATOR_NAME = "pcg64"
 
+# Built once: the three-mode register every teleportation run uses, its
+# starting state |0>_a |1>_A |0>_B, and the maximally mixed mode-A reference.
+# Runs reuse the register's tables and memoized sub-registers.
+_TELEPORT_REGISTER = build_register([("a", 2), ("A", 2), ("B", 2)])
+_TELEPORT_START = basis_state(_TELEPORT_REGISTER, (0, 1, 0))
+_MIXED_MODE_A = QuantumState(_TELEPORT_REGISTER.restricted(["A"]), np.eye(2) / 2.0)
+
 
 @dataclass(frozen=True)
 class UnknownStateSpec:
@@ -296,13 +303,10 @@ def run_teleportation(
         prep_grid if reservoir_config == "shared" else PhaseGrid(ANALYSIS_RESERVOIR, grid_points)
     )
 
-    register = build_register([("a", 2), ("A", 2), ("B", 2)])
-    state = prepare_entangled_pair(
-        prepare_unknown_state(spec, prep_grid, basis_state(register, (0, 1, 0)))
-    )
+    state = prepare_entangled_pair(prepare_unknown_state(spec, prep_grid, _TELEPORT_START))
 
     analysis = bell_state_analysis(state, analysis_grid, modes=("a", "A"))
-    b_register = register.restricted(["B"])
+    b_register = _TELEPORT_REGISTER.restricted(["B"])
     target = unknown_state_target(spec, b_register, prep_grid)
 
     records: list[OutcomeRecord] = []
@@ -337,8 +341,7 @@ def run_teleportation(
     fail = res_a.outcome((1,))
     fail_joint = fail.phase_averaged_state()
     fail_mode_a = partial_trace(fail_joint, ["A"])
-    mixed = QuantumState(fail_mode_a.register, np.eye(2) / 2.0)
-    fail_distance = float(trace_distance(fail_mode_a, mixed))
+    fail_distance = float(trace_distance(fail_mode_a, _MIXED_MODE_A))
     fail_mode_b = partial_trace(fail_joint, ["B"])
     fail_fid = float(np.mean(np.asarray(fidelity(target, fail_mode_b))))
 

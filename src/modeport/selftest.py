@@ -7,7 +7,9 @@ same suite backs the ``selftest`` CLI command and the acceptance tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -66,23 +68,33 @@ class CriterionResult:
         return f"{status} criterion {self.number}: {self.name} ({self.detail})"
 
 
-def teleport_criteria(runs: list[ProtocolResult]) -> list[CriterionResult]:
-    """Criteria 1-4, judged on the worst of ``runs``."""
-    worst_p = max(abs(r.success_probability - 0.5) for r in runs)
-    worst_fid = min(
-        rec.fidelity_min
-        for r in runs
-        for rec in r.outcomes
-        if rec.status == SUCCESS_STATUS
-    )
-    worst_dist = max(r.failure_mode_a_distance for r in runs)
-    worst_off = max(r.ssr_report.max_offblock_norm for r in runs)
+def teleport_criteria(runs: Iterable[ProtocolResult]) -> list[CriterionResult]:
+    """Criteria 1-4, judged on the worst of ``runs``.
+
+    ``runs`` is read once, keeping only running worst values, so a generator
+    of runs is judged in constant memory.  ``np.maximum`` and ``np.minimum``
+    carry a NaN through, so a NaN in any run fails its criterion.
+    """
+    n_runs, compliant = 0, True
+    worst_p = worst_dist = worst_off = -math.inf
+    worst_fid = math.inf
+    for r in runs:
+        n_runs += 1
+        worst_p = float(np.maximum(worst_p, abs(r.success_probability - 0.5)))
+        for rec in r.outcomes:
+            if rec.status == SUCCESS_STATUS:
+                worst_fid = float(np.minimum(worst_fid, rec.fidelity_min))
+        worst_dist = float(np.maximum(worst_dist, r.failure_mode_a_distance))
+        worst_off = float(np.maximum(worst_off, r.ssr_report.max_offblock_norm))
+        compliant = compliant and r.ssr_compliant
+    if not n_runs:
+        raise ValueError("teleport_criteria needs at least one run")
     return [
         CriterionResult(
             1,
             "teleportation succeeds with probability 1/2",
             worst_p <= P_SUCCESS_TOL,
-            f"max |P(success) - 1/2| = {worst_p:.3e} over {len(runs)} specs",
+            f"max |P(success) - 1/2| = {worst_p:.3e} over {n_runs} specs",
         ),
         CriterionResult(
             2,
@@ -99,7 +111,7 @@ def teleport_criteria(runs: list[ProtocolResult]) -> list[CriterionResult]:
         CriterionResult(
             4,
             "every twirled terminal state is superselection compliant",
-            all(r.ssr_compliant for r in runs),
+            compliant,
             f"max off-block coherence = {worst_off:.3e}",
         ),
     ]
@@ -290,7 +302,7 @@ def run_acceptance_suite(
 ) -> list[CriterionResult]:
     """Evaluate all acceptance criteria; returns one result per criterion."""
     corpus = random_spec_corpus(n_specs, seed)
-    results = teleport_criteria([run_teleportation(s, "distinct", grid_points) for s in corpus])
+    results = teleport_criteria(run_teleportation(s, "distinct", grid_points) for s in corpus)
     results.append(_bell_truth_table(grid_points))
     results.append(_dense_coding_contrast(grid_points))
     results.extend(_scan_check(*criterion) for criterion in _SCAN_CRITERIA)

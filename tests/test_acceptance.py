@@ -4,9 +4,15 @@ Prints one pass/fail line per criterion (run pytest with -s to see them on
 success; they also appear in failure reports).
 """
 
+import dataclasses
+import gc
+import math
+import weakref
+
 import pytest
 
-from modeport.selftest import run_acceptance_suite
+from modeport.protocol import random_spec_corpus, run_teleportation
+from modeport.selftest import run_acceptance_suite, teleport_criteria
 
 CRITERIA = {
     1: "success probability 1/2 within 1e-9 over the seeded corpus",
@@ -31,3 +37,40 @@ def test_criterion(suite, number):
     result = suite[number]
     print(result.line())
     assert result.passed, result.line()
+
+
+@pytest.fixture(scope="module")
+def runs():
+    return [run_teleportation(spec) for spec in random_spec_corpus(3, seed=5)]
+
+
+def test_criteria_of_a_generator_equal_those_of_a_list(runs):
+    assert teleport_criteria(iter(runs)) == teleport_criteria(runs)
+
+
+def test_criteria_drop_each_run_once_judged():
+    alive = []
+
+    def produce():
+        for spec in random_spec_corpus(4, seed=5):
+            gc.collect()
+            # At most the run being yielded and the one the loop still names.
+            assert sum(ref() is not None for ref in alive) <= 1
+            result = run_teleportation(spec)
+            alive.append(weakref.ref(result))
+            yield result
+
+    assert all(c.passed for c in teleport_criteria(produce()))
+    assert len(alive) == 4
+
+
+def test_nan_in_a_later_run_fails_its_criterion(runs):
+    broken = dataclasses.replace(runs[1], success_probability=math.nan)
+    results = teleport_criteria([runs[0], broken, runs[2]])
+    assert [c.passed for c in results] == [False, True, True, True]
+    assert "nan" in results[0].detail
+
+
+def test_criteria_need_a_run():
+    with pytest.raises(ValueError, match="at least one run"):
+        teleport_criteria(iter([]))

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from modeport.fock import (
+    MAX_REGISTER_DIM,
     LinearOperator,
     ModeRegister,
     PhaseGrid,
@@ -67,6 +70,31 @@ class TestRegister:
         reg = build_register([("A", 2)])
         with pytest.raises(ValueError, match="unknown"):
             reg.position("B")
+
+    def test_tables_built_on_first_read(self):
+        reg = build_register([("a", 2), ("A", 3), ("B", 2)])
+        assert "occupations" not in vars(reg) and "total_numbers" not in vars(reg)
+        want = np.indices(reg.dims, dtype=np.int64).reshape(3, -1).T
+        np.testing.assert_array_equal(reg.occupations, want)
+        np.testing.assert_array_equal(reg.total_numbers, want.sum(axis=1))
+        assert reg.occupations is reg.occupations
+
+    def test_register_at_size_bound_allocates_no_table(self):
+        tracemalloc.start()
+        try:
+            reg = ModeRegister([("probe", 2), ("res", MAX_REGISTER_DIM // 2)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reg.dim == MAX_REGISTER_DIM
+        assert peak < 100_000  # the occupation table alone would be 64 MB
+
+    def test_restricted_returns_same_instance(self):
+        reg = build_register([("a", 2), ("A", 2), ("B", 2)])
+        sub = reg.restricted(["B", "a"])
+        assert sub.labels == ("a", "B")
+        assert reg.restricted(["B", "a"]) is sub
+        assert reg.restricted(("B", "a")) is sub
 
 
 class TestLadder:

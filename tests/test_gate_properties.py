@@ -1,4 +1,5 @@
-"""Random gate sequences against the elementwise embedding oracle, grid point by grid point."""
+"""Random gate sequences: against the elementwise embedding oracle, grid point by grid point,
+and through measurement, partial trace and twirling."""
 
 from functools import lru_cache
 
@@ -6,8 +7,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modeport.fock import NORM_ATOL, PhaseGrid, QuantumState, build_register, embed_and_apply
+from modeport.fock import (
+    NORM_ATOL,
+    PhaseGrid,
+    QuantumState,
+    basis_state,
+    build_register,
+    embed_and_apply,
+    measure_number,
+    partial_trace,
+)
 from modeport.gates import fermionic_swap_gate, hopping_gate, number_rotation_gate, phase_gate
+from modeport.reservoir import ssr_compliance_check, twirl_all
 from test_fock import naive_embedding
 
 # Not in sorted order, so the state's grid axes (sorted by symbol) differ from draw order.
@@ -104,3 +115,36 @@ def test_random_gate_sequences_match_oracle_and_keep_norm(circuit):
             assert abs(np.linalg.norm(out.data[point]) - 1.0) <= NORM_ATOL
         state, expected = out, step
     assert added_symbol
+
+
+@settings(max_examples=30, deadline=None)
+@given(circuit=circuits(), data=st.data())
+def test_measurement_sums_to_norm_and_twirled_branches_keep_superselection(circuit, data):
+    n_modes, points, start_gridded, gates, seed = circuit
+    # A number eigenstate start and one grid size for every symbol: shifting
+    # all phases by one grid step then only rotates each conditional state by
+    # e^{i phi N}, so twirling removes every coherence between sectors.  The
+    # grid resolves the largest Fourier order and every number difference.
+    rotations = [spec[3] for spec in gates if spec[0] == "rotation"]
+    m = max(2 * max(rotations.count(s) for s in rotations) + 1, n_modes + 2)
+    register = qubit_register(n_modes)
+    grids = [PhaseGrid(s, m) for s in SYMBOLS[: len(points)]]
+    state = basis_state(register, np.random.default_rng(seed).integers(0, 2, n_modes))
+    if start_gridded:
+        constant = np.broadcast_to(state.data, (m, register.dim)).copy()
+        state = QuantumState(register, constant, grids=grids[:1], fourier_order=[0])
+    for spec in gates:
+        state = embed_and_apply(state, build_gate(register, grids, spec))
+
+    labels = list(register.labels)
+    measured = data.draw(
+        st.lists(st.sampled_from(labels), min_size=1, max_size=n_modes - 1, unique=True)
+    )
+    rest = [label for label in labels if label not in measured]
+    kept = data.draw(st.lists(st.sampled_from(rest), min_size=1, unique=True))
+    result = measure_number(state, measured)
+    total = sum(outcome.probability for outcome in result)
+    np.testing.assert_allclose(total, state.norms() ** 2, rtol=0, atol=1e-12)
+    for outcome in result:
+        report = ssr_compliance_check(twirl_all(partial_trace(outcome.state, kept)))
+        assert report.compliant, (outcome.occupations, report.max_offblock_norm)

@@ -8,6 +8,7 @@ from modeport.fock import (
     embed_and_apply,
     from_amplitudes,
 )
+from modeport import gates
 from modeport.gates import (
     fermionic_swap_gate,
     hopping_gate,
@@ -179,3 +180,84 @@ class TestAnalysisComposite:
         state = embed_and_apply(state, number_rotation_gate(pair, "A", np.pi / 4, grid))
         amp00 = state.data[..., pair.index_of((0, 0))]
         np.testing.assert_allclose(np.abs(amp00), 1.0, atol=1e-13)
+
+
+# Each builder with its uncached body: (cached call, body call) on the pair register.
+SHARED_BUILDERS = {
+    "phase": (
+        lambda reg, grid, x: phase_gate(reg, "a", x),
+        lambda grid, x: gates._phase_gate(build_register([("a", 2)]), x),
+    ),
+    "rotation": (
+        lambda reg, grid, x: number_rotation_gate(reg, "A", x, grid),
+        lambda grid, x: gates._number_rotation_gate(build_register([("A", 2)]), x, grid),
+    ),
+    "hopping_raw": (
+        lambda reg, grid, x: hopping_gate(reg, "A", "a", x),
+        lambda grid, x: gates._hopping_gate(build_register([("A", 2), ("a", 2)]), x, "raw"),
+    ),
+    "hopping_bell": (
+        lambda reg, grid, x: hopping_gate(reg, "a", "A", x, convention="bell"),
+        lambda grid, x: gates._hopping_gate(build_register([("a", 2), ("A", 2)]), x, "bell"),
+    ),
+}
+
+
+class TestSharedGates:
+    @pytest.mark.parametrize("name", sorted(SHARED_BUILDERS))
+    def test_bitwise_equal_to_uncached_build(self, pair, grid, name):
+        cached, body = SHARED_BUILDERS[name]
+        angles = [0.0, -0.0, float(np.random.default_rng(11).uniform(-np.pi, np.pi))]
+        for angle in angles + angles[::-1]:  # each sign of zero both before and after the other
+            gate, ref = cached(pair, grid, angle), body(grid, angle)
+            assert gate.register == ref.register and gate.grids == ref.grids
+            assert gate.matrix.tobytes() == ref.matrix.tobytes()
+
+    def test_signed_zeros_are_distinct_entries(self, pair, grid):
+        # The rotation's zeros carry the sign of theta', so a float-equality
+        # key would hand one of these calls the other's matrix.
+        plus = number_rotation_gate(pair, "A", 0.0, grid)
+        minus = number_rotation_gate(pair, "A", -0.0, grid)
+        assert plus is not minus
+        assert plus.matrix.tobytes() != minus.matrix.tobytes()
+
+    def test_fermionic_swap_equals_uncached_build(self, pair):
+        gate = fermionic_swap_gate(pair, "A", "a")
+        ref = gates._fermionic_swap_gate(build_register([("A", 2), ("a", 2)]))
+        assert gate.register == ref.register
+        assert gate.matrix.tobytes() == ref.matrix.tobytes()
+
+    def test_repeated_call_returns_same_object(self, pair, grid):
+        assert phase_gate(pair, "a", 0.3) is phase_gate(pair, "a", 0.3)
+        assert fermionic_swap_gate(pair, "a", "A") is fermionic_swap_gate(pair, "a", "A")
+        rotation = number_rotation_gate(pair, "A", np.pi / 4, grid)
+        assert rotation is number_rotation_gate(pair, "A", np.pi / 4, grid)
+        # The key is the targets, not the caller's register.
+        wider = build_register([("a", 2), ("A", 2), ("B", 2)])
+        assert rotation is number_rotation_gate(wider, "A", np.pi / 4, grid)
+
+    def test_matrix_is_read_only(self, pair, grid):
+        for gate in (
+            phase_gate(pair, "a", 0.3),
+            number_rotation_gate(pair, "A", 0.3, grid),
+            fermionic_swap_gate(pair, "a", "A"),
+            hopping_gate(pair, "a", "A", 0.3),
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                gate.matrix[..., 0, 0] = 2.0
+
+    def test_cache_is_bounded(self, pair):
+        for angle in np.linspace(0.0, 1.0, 3 * gates.GATE_CACHE_SIZE):
+            phase_gate(pair, "a", float(angle))
+        assert gates._cached_gate.cache_info().currsize <= gates.GATE_CACHE_SIZE
+
+    def test_bad_target_raises_on_every_call(self, pair, grid):
+        phase_gate(pair, "a", 0.3)  # the good call is cached first
+        qutrit = build_register([("a", 3), ("A", 2)])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="qubit mode"):
+                phase_gate(qutrit, "a", 0.3)
+            with pytest.raises(ValueError, match="unknown mode"):
+                number_rotation_gate(pair, "B", 0.3, grid)
+            with pytest.raises(ValueError, match="repeat"):
+                fermionic_swap_gate(pair, "a", "a")
