@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -51,7 +51,8 @@ class ModeRegister:
 
     Each mode is a ``(label, dim)`` pair; occupations run 0 .. dim - 1.  The
     occupation, total-number and sector tables are built on first use and
-    kept with the register, as are the sub-registers ``restricted`` returns.
+    kept with the register, as are the sub-registers ``restricted`` returns
+    and the tables ``readout`` returns.
     """
 
     def __init__(self, modes: Iterable[tuple[str, int]]):
@@ -72,6 +73,7 @@ class ModeRegister:
         self.dim = check_register_size(self.dims)
         self._positions = {label: i for i, label in enumerate(labels)}
         self._restricted: dict[tuple[str, ...], ModeRegister] = {}
+        self._readouts: dict[tuple[str, ...], tuple] = {}
 
     @cached_property
     def occupations(self) -> np.ndarray:
@@ -129,6 +131,26 @@ class ModeRegister:
             positions = sorted(self.position(label) for label in labels)
             self._restricted[labels] = ModeRegister(self.modes[p] for p in positions)
         return self._restricted[labels]
+
+    def readout(self, labels: Sequence[str]) -> tuple:
+        """Number-readout tables of the modes ``labels``, in that order.
+
+        Returns the sub-register of the other modes (None if none is left)
+        and, per outcome in row-major order of ``labels``' occupations, the
+        occupation tuple and the ascending, read-only basis indices showing it.
+        """
+        labels = tuple(labels)
+        if labels not in self._readouts:
+            positions = [self.position(label) for label in labels]
+            measured = self.occupations[:, positions]
+            outcomes = []
+            for occupation in np.ndindex(*(self.dims[p] for p in positions)):
+                group = np.flatnonzero((measured == occupation).all(axis=1))
+                group.flags.writeable = False
+                outcomes.append((occupation, group))
+            rest = [label for label in self.labels if label not in labels]
+            self._readouts[labels] = (self.restricted(rest) if rest else None, tuple(outcomes))
+        return self._readouts[labels]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ModeRegister) and self.modes == other.modes
@@ -215,12 +237,12 @@ def _expand_axes(
     own: Sequence[str],
     combined: Sequence[str],
 ) -> np.ndarray:
-    """Insert singleton grid axes so ``data`` broadcasts over ``combined``."""
-    out = data
-    for pos, symbol in enumerate(combined):
-        if symbol not in own:
-            out = np.expand_dims(out, axis=pos)
-    return out
+    """Insert singleton grid axes so ``data`` broadcasts over ``combined``.
+
+    ``own`` names ``data``'s leading grid axes, in ``combined``'s order.
+    """
+    sizes = dict(zip(own, data.shape))
+    return data.reshape(tuple(sizes.get(s, 1) for s in combined) + data.shape[len(own) :])
 
 
 def _require_exact_average(grids: Sequence[PhaseGrid], orders: Sequence[int]) -> None:
@@ -230,6 +252,14 @@ def _require_exact_average(grids: Sequence[PhaseGrid], orders: Sequence[int]) ->
                 f"phase grid for {grid.symbol!r} has {grid.n_points} points but the "
                 f"state carries Fourier order {order}; need at least {2 * order + 1}"
             )
+
+
+@lru_cache(maxsize=4)
+def _psd_shift(dim: int) -> np.ndarray:
+    """Read-only (|MIN_EIGVAL|/2) I of size ``dim``, the PSD screen's shift."""
+    shift = (0.5 * abs(MIN_EIGVAL)) * np.eye(dim)
+    shift.flags.writeable = False
+    return shift
 
 
 class QuantumState:
@@ -333,8 +363,9 @@ class QuantumState:
 
     def _validate(self) -> None:
         # Each test reads "not (dev <= tol)", so a NaN deviation fails it.
+        # A norm is >= 0 or NaN; a trace is negative when rho is not PSD.
         values = self.norms()
-        off = np.minimum(np.abs(values - 1.0), np.abs(values)).max()
+        off = np.minimum(np.abs(values - 1.0), values if self._pure else np.abs(values)).max()
         what = "norm" if self._pure else "trace"
         if not off <= (NORM_ATOL if self._pure else TRACE_ATOL):
             raise ValueError(
@@ -351,9 +382,8 @@ class QuantumState:
             # lambda_min > MIN_EIGVAL / 2 up to round-off, which the eigenvalue
             # rule accepts; the half-bound margin leaves eigvalsh, run only when
             # the screen fails, to decide every case near the bound.
-            shift = (0.5 * abs(MIN_EIGVAL)) * np.eye(self.register.dim)
             try:
-                np.linalg.cholesky(self.data + shift)
+                np.linalg.cholesky(self.data + _psd_shift(self.register.dim))
             except np.linalg.LinAlgError:
                 eigs = np.linalg.eigvalsh(self.data)
                 if not eigs.min() >= MIN_EIGVAL:
@@ -560,26 +590,58 @@ def _apply_blocks(op: LinearOperator, data: np.ndarray, conj: bool = False) -> n
     return out
 
 
+def _apply_pure(state: QuantumState, op: LinearOperator, grids) -> np.ndarray:
+    """Dense ``op`` on its own modes of a pure state, over the merged grids ``grids``.
+
+    One copy orders the state as (operator grid axes, operator modes,
+    untouched modes, other grid axes), with all after the contracted axis
+    merged into ``R``; a second copy writes the result back into the input's
+    memory layout, C order once a grid is added.  Later grid means sum in an
+    order that depends on that layout.
+    """
+    register = state.register
+    order = _modes_last(register, op.register)
+    n_rest = register.n_modes - op.register.n_modes
+    symbols = tuple(g.symbol for g in grids)
+    n_grid = len(symbols)
+    data = _expand_axes(state.data, state.phase_symbols, symbols)
+    data = data.reshape(data.shape[:n_grid] + register.dims)
+    op_axes = [symbols.index(s) for s in op.phase_symbols]
+    axes = [
+        *op_axes,
+        *(n_grid + p for p in order[n_rest:] + order[:n_rest]),
+        *(a for a in range(n_grid) if a not in op_axes),
+    ]
+    split = data.transpose(axes)
+    x = split.reshape(split.shape[: len(op_axes)] + (op.register.dim, -1))
+    out = np.einsum("...ij,...jR->...iR", op.matrix, x)
+    out = out.reshape(out.shape[: len(op_axes)] + split.shape[len(op_axes) :])
+    shape = tuple(g.n_points for g in grids) + (register.dim,)
+    result = np.empty_like(state.data, shape=shape)
+    # Splitting the basis axis into modes is a view of ``result``, whatever its layout.
+    result.reshape(shape[:-1] + register.dims)[...] = out.transpose(np.argsort(axes))
+    return result
+
+
 def embed_and_apply(
     state: QuantumState, op: LinearOperator, renormalize: bool = False
 ) -> QuantumState:
     """Apply an operator to its own modes, as the identity on the others.
 
-    The state's mode axes are moved so the operator's modes come last, in
-    operator-register order, and only those are contracted with its matrix;
-    a full-register operator is the case with no other modes.  Phase-grid
-    axes are aligned by symbol and applied pointwise.  A gridded operator on
-    a pure state has its modes moved first instead, just after the grid
-    axes: its matrix varies along a grid axis, so einsum cannot merge the
-    grid and other-mode axes, and with the operator's modes last its inner
-    loop would run over the 2- or 4-long contracted axis rather than the
-    long other-mode axis.  Ungridded gates are as fast or faster with their
-    modes last, so they keep that layout.  With ``renormalize``
-    the result is rescaled to unit norm per grid point, which is how norm
-    loss from non-unitary operators (truncated creation, for instance) is
-    absorbed explicitly; without it, a non-norm-preserving result fails
-    state validation.  A sector-block operator on the state's own register is
-    applied sector by sector, and to a density matrix as U rho U^+.
+    Only the operator's modes are contracted with its matrix; a
+    full-register operator is the case with no other modes.  Phase-grid axes
+    are aligned by symbol and applied pointwise.  A dense operator on a pure
+    state has one layout (see ``_apply_pure``): einsum's inner loop runs over
+    the untouched modes and the other grid points merged into one long axis,
+    not over the 2- or 4-long contracted axis.  Each amplitude is still one
+    sum over the operator's input index, in the same order, so the layout
+    moves no bits.  A density matrix has the operator's modes moved last on
+    both sides and is contracted as U rho U^+ in one einsum, and a
+    sector-block operator on the state's own register is applied sector by
+    sector.  With ``renormalize`` the result is rescaled to unit norm per
+    grid point, which is how norm loss from non-unitary operators (truncated
+    creation, for instance) is absorbed explicitly; without it, a
+    non-norm-preserving result fails state validation.
     """
     register = state.register
     grids, orders = _merge_grids(
@@ -591,28 +653,19 @@ def embed_and_apply(
         else:
             left = _apply_blocks(op, np.swapaxes(state.data, -1, -2))
             out = _apply_blocks(op, np.swapaxes(left, -1, -2), conj=True)
+    elif state.is_pure:
+        out = _apply_pure(state, op, grids)
     else:
         order = _modes_last(register, op.register)
-        d_sub = op.register.dim
-        d_rest = register.dim // d_sub
-        copies = 1 if state.is_pure else 2
-        targets_first = state.is_pure and bool(op.grids)
-        if targets_first:
-            order = order[-op.register.n_modes :] + order[: -op.register.n_modes]
         symbols = tuple(g.symbol for g in grids)
         mat = _expand_axes(op.matrix, op.phase_symbols, symbols)
         data = _expand_axes(state.data, state.phase_symbols, symbols)
-        data = _permute_modes(data, register.dims, order, copies)
-        shape = (d_sub, d_rest) if targets_first else (d_rest, d_sub) * copies
-        data = data.reshape(data.shape[: len(symbols)] + shape)
-        if targets_first:
-            out = np.einsum("...ij,...jr->...ir", mat, data)
-        elif state.is_pure:
-            out = np.einsum("...ij,...rj->...ri", mat, data)
-        else:
-            out = np.einsum("...ij,...rjsk,...lk->...risl", mat, data, mat.conj())
-        out = out.reshape(out.shape[: len(symbols)] + (register.dim,) * copies)
-        out = _permute_modes(out, [register.dims[p] for p in order], np.argsort(order), copies)
+        data = _permute_modes(data, register.dims, order, 2)
+        d_sub = op.register.dim
+        data = data.reshape(data.shape[: len(symbols)] + (register.dim // d_sub, d_sub) * 2)
+        out = np.einsum("...ij,...rjsk,...lk->...risl", mat, data, mat.conj())
+        out = out.reshape(out.shape[: len(symbols)] + (register.dim,) * 2)
+        out = _permute_modes(out, [register.dims[p] for p in order], np.argsort(order), 2)
     if renormalize:
         if state.is_pure:
             norm = np.sqrt(np.sum(np.abs(out) ** 2, axis=-1, keepdims=True))
@@ -630,9 +683,12 @@ def embed_and_apply(
 def partial_trace(state: QuantumState, keep: Sequence[str]) -> QuantumState:
     """Reduced density matrix on ``keep``, in the register's mode order.
 
-    The kept modes' axes are moved last and the rest are summed out; a pure
-    state is contracted with its conjugate directly, so the full density
-    matrix is never formed and the register may have any number of modes.
+    A pure state is contracted with its conjugate directly, so the full
+    density matrix is never formed and the register may have any number of
+    modes.  It is copied into (untouched modes, kept modes, grid points) so
+    that einsum's inner loop runs over the grid points; each entry is still
+    one sum over the untouched modes in the same order, so no bit moves.  The
+    result is returned in C order, on which later grid means depend.
     """
     keep = list(keep)
     if not keep:
@@ -642,12 +698,17 @@ def partial_trace(state: QuantumState, keep: Sequence[str]) -> QuantumState:
     register = state.register
     sub = register.restricted(keep)
     order = _modes_last(register, sub)
-    copies = 1 if state.is_pure else 2
-    data = _permute_modes(state.data, register.dims, order, copies)
-    data = data.reshape(state.grid_shape + (register.dim // sub.dim, sub.dim) * copies)
+    n_grid = len(state.grids)
     if state.is_pure:
-        reduced = np.einsum("...ri,...rj->...ij", data, data.conj())
+        split = state.data.reshape(state.grid_shape + register.dims)
+        x = split.transpose([n_grid + p for p in order] + list(range(n_grid)))
+        x = x.reshape(register.dim // sub.dim, sub.dim, -1)
+        reduced = np.einsum("rig,rjg->ijg", x, x.conj())
+        reduced = np.ascontiguousarray(np.moveaxis(reduced, -1, 0))
+        reduced = reduced.reshape(state.grid_shape + (sub.dim, sub.dim))
     else:
+        data = _permute_modes(state.data, register.dims, order, 2)
+        data = data.reshape(state.grid_shape + (register.dim // sub.dim, sub.dim) * 2)
         reduced = np.einsum("...rirj->...ij", data)
     return QuantumState(
         sub, reduced, grids=state.grids, fourier_order=state.fourier_order
@@ -753,19 +814,11 @@ def measure_number(state: QuantumState, modes: Sequence[str]) -> MeasurementResu
         raise ValueError("measure at least one mode")
     if len(set(modes)) != len(modes):
         raise ValueError("measured modes repeat a label")
-    positions = [state.register.position(label) for label in modes]
-    measured_dims = [state.register.dims[p] for p in positions]
-    unmeasured = [label for label in state.register.labels if label not in modes]
-
-    occ = state.register.occupations
-    sub_idx = np.ravel_multi_index([occ[:, p] for p in positions], measured_dims)
-    sub_register = state.register.restricted(unmeasured) if unmeasured else None
+    sub_register, readout = state.register.readout(modes)
 
     outcomes: list[MeasurementOutcome] = []
     total = None
-    for flat in range(int(np.prod(measured_dims))):
-        occ_m = tuple(int(v) for v in np.unravel_index(flat, measured_dims))
-        group = np.nonzero(sub_idx == flat)[0]
+    for occ_m, group in readout:
         if state.is_pure:
             sub = state.data[..., group]
             prob = np.sum(np.abs(sub) ** 2, axis=-1)

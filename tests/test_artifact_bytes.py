@@ -1,7 +1,8 @@
-"""Artifact bytes of the teleportation commands, pinned byte for byte.
+"""Artifact bytes of the teleportation commands and of ``selftest``, pinned byte for byte.
 
 Several fields sit at the round-off floor (``failure_mode_a_distance`` near
-1e-16, failure-branch ``fidelity_min`` near 1e-33), so any change in the order
+1e-16, failure-branch ``fidelity_min`` near 1e-33, the ``selftest`` criteria
+1, 3, 4 and 5 details near 1e-16), so any change in the order
 of the arithmetic behind a gate application shows up here.  Never regenerate
 these strings to make a test pass.
 """
@@ -291,14 +292,79 @@ SWEEP_20_SEED_7_JSON = """\
 """
 
 
+SELFTEST_20_JSON = """\
+{
+  "command": "selftest",
+  "criteria": [
+    {
+      "detail": "max |P(success) - 1/2| = 1.665e-16 over 20 specs",
+      "name": "teleportation succeeds with probability 1/2",
+      "number": 1,
+      "passed": true
+    },
+    {
+      "detail": "min per-point success fidelity = 1.000000000000",
+      "name": "success branches deliver the state with unit fidelity at every phase",
+      "number": 2,
+      "passed": true
+    },
+    {
+      "detail": "max trace distance from I/2 = 1.943e-16",
+      "name": "failure branch leaves mode A maximally mixed after twirling",
+      "number": 3,
+      "passed": true
+    },
+    {
+      "detail": "max off-block coherence = 9.665e-17",
+      "name": "every twirled terminal state is superselection compliant",
+      "number": 4,
+      "passed": true
+    },
+    {
+      "detail": "max per-point probability deviation = 4.441e-16",
+      "name": "Bell analysis maps psi+ to (0,0), psi- to (0,1), phi+- to n_a = 1",
+      "number": 5,
+      "passed": true
+    },
+    {
+      "detail": "shared: 0->0, 1->1, 2->2, 3->3; distinct phi-sector probability spread = 1.000",
+      "name": "dense coding decodes all four messages only with a shared reservoir",
+      "number": 6,
+      "passed": true
+    },
+    {
+      "detail": "1:2.001e-01, 10:6.715e-03, 100:6.175e-05, 1000:6.169e-07",
+      "name": "hard-core swap infidelity is monotone and < 1e-3 at U/J = 1000",
+      "number": 7,
+      "passed": true
+    },
+    {
+      "detail": "4:1.208e-01, 16:3.133e-02, 64:7.903e-03, 256:1.980e-03",
+      "name": "resolved-reservoir rotation error is monotone and < 0.05 at nbar = 256",
+      "number": 8,
+      "passed": true
+    },
+    {
+      "detail": "entropy = 1.500000000 bits, unitarity <= 0.0e+00, twirl residual <= 0.0e+00",
+      "name": "structural checks: split-pair amplitudes and entropy, gate unitarity, twirl idempotence",
+      "number": 9,
+      "passed": true
+    }
+  ],
+  "passed": true
+}
+"""
+
+
 @pytest.mark.parametrize(
     "argv,golden",
     [
         (["teleport"], TELEPORT_JSON),
         (["teleport", "--shared-reservoir"], TELEPORT_SHARED_JSON),
         (["sweep", "--n", "20", "--seed", "7"], SWEEP_20_SEED_7_JSON),
+        (["selftest", "--n", "20"], SELFTEST_20_JSON),
     ],
-    ids=["teleport", "teleport-shared", "sweep-n20-seed7"],
+    ids=["teleport", "teleport-shared", "sweep-n20-seed7", "selftest-n20"],
 )
 def test_protocol_artifact_bytes(tmp_path, argv, golden):
     out = tmp_path / "artifact.json"

@@ -1,24 +1,30 @@
 """Random gate sequences: against the elementwise embedding oracle, grid point by grid point,
-and through measurement, partial trace and twirling."""
+bit for bit against the targets-last contractions, on density states, and through
+measurement, partial trace and twirling."""
 
 from functools import lru_cache
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modeport.fock import (
     NORM_ATOL,
+    TRACE_ATOL,
     PhaseGrid,
     QuantumState,
+    _expand_axes,
+    _modes_last,
+    _permute_modes,
     basis_state,
     build_register,
     embed_and_apply,
     measure_number,
     partial_trace,
+    phase_average,
 )
 from modeport.gates import fermionic_swap_gate, hopping_gate, number_rotation_gate, phase_gate
-from modeport.reservoir import ssr_compliance_check, twirl_all
+from modeport.reservoir import ssr_compliance_check, twirl_state
 from test_fock import naive_embedding
 
 # Not in sorted order, so the state's grid axes (sorted by symbol) differ from draw order.
@@ -70,6 +76,31 @@ def circuits(draw):
     return n_modes, points, start_gridded, gates, draw(st.integers(0, 2**32 - 1))
 
 
+# Covers one- and two-mode gates, targets on the first and the last mode, and
+# a leading rotation that adds a second symbol to a gridded state.
+EDGE_CIRCUIT = (
+    3,
+    [3, 2],
+    True,
+    [
+        ("rotation", (2,), 0.4, 1),
+        ("rotation", (0,), 1.1, 0),
+        ("fswap", (0, 2)),
+        ("hopping", (2, 0), 0.7, "bell"),
+        ("hopping", (1, 2), 2.3, "raw"),
+        ("phase", (1,), 2.0),
+    ],
+    5,
+)
+
+
+def random_start(register, grids, rng):
+    """Random unit amplitudes per point of ``grids``, with Fourier order 0."""
+    psi = rng.standard_normal((*(g.n_points for g in grids), register.dim, 2)) @ [1.0, 1j]
+    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+    return QuantumState(register, psi, grids=grids, fourier_order=[0] * len(grids))
+
+
 def build_gate(register, grids, spec):
     kind, targets, *args = spec
     labels = [f"m{i}" for i in targets]
@@ -90,9 +121,8 @@ def test_random_gate_sequences_match_oracle_and_keep_norm(circuit):
     register = qubit_register(n_modes)
     grids = [PhaseGrid(s, m) for s, m in zip(SYMBOLS, points)]
     start = grids[:1] if start_gridded else []
-    psi = rng.standard_normal((*(g.n_points for g in start), register.dim, 2)) @ [1.0, 1j]
-    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
-    state = QuantumState(register, psi, grids=start, fourier_order=[0] * len(start))
+    state = random_start(register, start, rng)
+    psi = state.data
     expected = {(): psi} if not start else {(p,): psi[p] for p in range(start[0].n_points)}
 
     added_symbol = False
@@ -117,10 +147,142 @@ def test_random_gate_sequences_match_oracle_and_keep_norm(circuit):
     assert added_symbol
 
 
-@settings(max_examples=30, deadline=None)
-@given(circuit=circuits(), data=st.data())
-def test_measurement_sums_to_norm_and_twirled_branches_keep_superselection(circuit, data):
+def targets_last_apply(state, gate, symbols):
+    """Pure-state gate application as one einsum with the gate's modes last."""
+    register = state.register
+    order = _modes_last(register, gate.register)
+    mat = _expand_axes(gate.matrix, gate.phase_symbols, symbols)
+    data = _expand_axes(state.data, state.phase_symbols, symbols)
+    data = _permute_modes(data, register.dims, order, 1)
+    data = data.reshape(data.shape[: len(symbols)] + (-1, gate.register.dim))
+    out = np.einsum("...ij,...rj->...ri", mat, data)
+    out = out.reshape(out.shape[: len(symbols)] + (register.dim,))
+    return _permute_modes(out, [register.dims[p] for p in order], np.argsort(order), 1)
+
+
+def targets_last_partial_trace(state, keep):
+    """Pure-state partial trace as one einsum with the kept modes last."""
+    register = state.register
+    sub = register.restricted(keep)
+    data = _permute_modes(state.data, register.dims, _modes_last(register, sub), 1)
+    data = data.reshape(state.grid_shape + (-1, sub.dim))
+    return np.einsum("...ri,...rj->...ij", data, data.conj())
+
+
+@example(circuit=EDGE_CIRCUIT)
+@settings(max_examples=40, deadline=None)
+@given(circuit=circuits())
+def test_kernels_match_targets_last_contractions_bit_for_bit(circuit):
     n_modes, points, start_gridded, gates, seed = circuit
+    rng = np.random.default_rng(seed)
+    register = qubit_register(n_modes)
+    grids = [PhaseGrid(s, m) for s, m in zip(SYMBOLS, points)]
+    state = random_start(register, grids[:1] if start_gridded else [], rng)
+    for spec in gates:
+        gate = build_gate(register, grids, spec)
+        out = embed_and_apply(state, gate)
+        assert out.data.flags.c_contiguous
+        assert np.array_equal(out.data, targets_last_apply(state, gate, out.phase_symbols))
+        keep = list(rng.permutation(register.labels)[: rng.integers(1, n_modes + 1)])
+        reduced = partial_trace(out, keep)
+        assert reduced.data.flags.c_contiguous
+        assert np.array_equal(reduced.data, targets_last_partial_trace(out, keep))
+        state = out
+
+
+def test_gates_keep_a_conditional_states_memory_layout():
+    # measure_number gathers each branch along the basis axis, which leaves
+    # that axis outermost in memory; later grid means sum in an order that
+    # depends on the layout, so gates keep it until they add a grid.
+    register = qubit_register(3)
+    zeta, alpha = PhaseGrid("zeta", 4), PhaseGrid("alpha", 3)
+    state = random_start(register, [zeta], np.random.default_rng(3))
+    cond = measure_number(state, ["m0"]).outcome([0]).state
+    assert not cond.data.flags.c_contiguous
+    sub = cond.register
+    for gate in (
+        phase_gate(sub, "m1", 0.3),
+        phase_gate(sub, "m2", 0.3),
+        hopping_gate(sub, "m1", "m2", 0.7),
+        number_rotation_gate(sub, "m2", 1.0, zeta),
+        number_rotation_gate(sub, "m1", 1.0, alpha),
+    ):
+        out = embed_and_apply(cond, gate)
+        assert np.array_equal(out.data, targets_last_apply(cond, gate, out.phase_symbols))
+        if gate.grids and gate.grids[0] == alpha:
+            assert out.data.flags.c_contiguous
+        else:
+            assert out.data.strides == cond.data.strides
+
+
+@example(circuit=EDGE_CIRCUIT)
+@settings(max_examples=30, deadline=None)
+@given(circuit=circuits())
+def test_density_gate_sequences_keep_unit_trace_and_follow_their_pure_mixture(circuit):
+    n_modes, points, start_gridded, gates, seed = circuit
+    rng = np.random.default_rng(seed)
+    register = qubit_register(n_modes)
+    grids = [PhaseGrid(s, m) for s, m in zip(SYMBOLS, points)]
+    start = grids[:1] if start_gridded else []
+    pures = [random_start(register, start, rng) for _ in range(2)]
+    mixture = 0.5 * (pures[0].density_data() + pures[1].density_data())
+    rho = QuantumState(register, mixture, grids=start, fourier_order=[0] * len(start))
+    for spec in gates:
+        gate = build_gate(register, grids, spec)
+        rho = embed_and_apply(rho, gate)
+        pures = [embed_and_apply(psi, gate) for psi in pures]
+        traces = np.real(np.trace(rho.data, axis1=-2, axis2=-1))
+        assert np.abs(traces - 1.0).max() <= TRACE_ATOL
+        mixture = 0.5 * (pures[0].density_data() + pures[1].density_data())
+        np.testing.assert_allclose(rho.data, mixture, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(circuit=circuits())
+def test_twirl_is_the_zero_fourier_mode(circuit):
+    n_modes, points, start_gridded, gates, seed = circuit
+    rng = np.random.default_rng(seed)
+    register = qubit_register(n_modes)
+    # Each grid resolves the Fourier order its rotations give the state.
+    rotations = [spec[3] for spec in gates if spec[0] == "rotation"]
+    sizes = [max(m, 2 * rotations.count(s) + 1) for s, m in enumerate(points)]
+    grids = [PhaseGrid(s, m) for s, m in zip(SYMBOLS, sizes)]
+    state = random_start(register, grids[:1] if start_gridded else [], rng)
+    for spec in gates:
+        state = embed_and_apply(state, build_gate(register, grids, spec))
+    for axis, grid in enumerate(state.grids):
+        spectrum = np.fft.fft(state.density_data(), axis=axis)
+        zero_mode = np.take(spectrum, 0, axis=axis) / grid.n_points
+        twirled = twirl_state(state, grid.symbol)
+        np.testing.assert_allclose(twirled.data, zero_mode, rtol=0, atol=1e-12)
+
+
+@st.composite
+def measured_circuits(draw):
+    """A circuit, the modes it measures, and the unmeasured modes it keeps."""
+    circuit = draw(circuits())
+    labels = [f"m{i}" for i in range(circuit[0])]
+    measured = draw(
+        st.lists(st.sampled_from(labels), min_size=1, max_size=len(labels) - 1, unique=True)
+    )
+    rest = [label for label in labels if label not in measured]
+    kept = draw(st.lists(st.sampled_from(rest), min_size=1, unique=True))
+    return circuit, measured, kept
+
+
+# Branch (0,) has probability 3.1e-33 at some grid points, where its conditional
+# state is stored as zero; a uniform twirl of it would have trace 0.75.
+@example(
+    case=(
+        (2, [4, 4], False, [("rotation", (0,), 1.0, 1), ("rotation", (0,), 1.0, 0)], 0),
+        ["m0"],
+        ["m1"],
+    )
+)
+@settings(max_examples=30, deadline=None)
+@given(case=measured_circuits())
+def test_measurement_sums_to_norm_and_twirled_branches_keep_superselection(case):
+    (n_modes, points, start_gridded, gates, seed), measured, kept = case
     # A number eigenstate start and one grid size for every symbol: shifting
     # all phases by one grid step then only rotates each conditional state by
     # e^{i phi N}, so twirling removes every coherence between sectors.  The
@@ -136,15 +298,11 @@ def test_measurement_sums_to_norm_and_twirled_branches_keep_superselection(circu
     for spec in gates:
         state = embed_and_apply(state, build_gate(register, grids, spec))
 
-    labels = list(register.labels)
-    measured = data.draw(
-        st.lists(st.sampled_from(labels), min_size=1, max_size=n_modes - 1, unique=True)
-    )
-    rest = [label for label in labels if label not in measured]
-    kept = data.draw(st.lists(st.sampled_from(rest), min_size=1, unique=True))
     result = measure_number(state, measured)
     total = sum(outcome.probability for outcome in result)
     np.testing.assert_allclose(total, state.norms() ** 2, rtol=0, atol=1e-12)
+    # Twirl each branch as the protocol does: weighted by its probability per point.
     for outcome in result:
-        report = ssr_compliance_check(twirl_all(partial_trace(outcome.state, kept)))
+        reduced = partial_trace(outcome.state, kept)
+        report = ssr_compliance_check(phase_average(reduced, outcome.probability))
         assert report.compliant, (outcome.occupations, report.max_offblock_norm)
