@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fock import MAX_REGISTER_DIM, check_register_size
+from .fock import BYTES_BUDGET, MAX_REGISTER_DIM, check_register_size
 from .hamiltonian import hardcore_limit_scan, reservoir_resolved_rotation, rotation_modes
 from .protocol import (
     GENERATOR_NAME,
@@ -61,12 +61,11 @@ def _grid_entries(config: RunConfig) -> int:
 
 
 # Peak RSS grows with --n for a sweep, which keeps one JSON row per run, about
-# 2.5 KB (39.4 MB peak at n = 200, 43.8 MB at n = 2,000).  n is refused past the
-# MAX_REGISTER_DIM budget of 260 bytes per state, about 1.1 GB: so n <= 436,207
+# 2.5 KB (39.4 MB peak at n = 200, 43.8 MB at n = 2,000).  n is refused past
+# BYTES_BUDGET, 260 bytes per MAX_REGISTER_DIM state, about 1.1 GB: so n <= 436,207
 # for sweep.  selftest judges each run as it is made and keeps none (43 MB peak
 # at --grid 64 for n = 20 and n = 400); it keeps the bound its per-run records
 # once set, 51 KB a run, so n <= 21,299, about a minute of runs at grid 16.
-RUN_BYTES_BUDGET = 260 * MAX_REGISTER_DIM
 RUN_BYTES = {"sweep": 2_500, "selftest": 51_200}
 
 
@@ -198,9 +197,9 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         )
         raise SystemExit(2)
     kept = config.n * RUN_BYTES.get(config.command, 0)
-    if kept > RUN_BYTES_BUDGET:  # refused before the corpus is drawn
+    if kept > BYTES_BUDGET:  # refused before the corpus is drawn
         print(
-            f"modeport: --n {config.n}: runs keep about {kept} bytes, over {RUN_BYTES_BUDGET}",
+            f"modeport: --n {config.n}: runs keep about {kept} bytes, over {BYTES_BUDGET}",
             file=sys.stderr,
         )
         raise SystemExit(2)

@@ -36,6 +36,9 @@ PROB_FLOOR = 1e-14
 # Largest register, in basis states: the reservoir scan peaks near 260 bytes
 # per state (520 MB at nbar = 10**6, 2,020,000 states), so about 1.1 GB here.
 MAX_REGISTER_DIM = 2**22
+# That 1.1 GB, the most one request may ask for in bytes: Hamiltonian blocks,
+# or the runs a CLI command keeps.
+BYTES_BUDGET = 260 * MAX_REGISTER_DIM
 
 
 def check_register_size(dims: Sequence[int]) -> int:

@@ -30,30 +30,35 @@ from .fock import LinearOperator, ModeRegister, PhaseGrid
 GATE_CACHE_SIZE = 32
 
 
+def _exact_key(args: tuple) -> tuple:
+    """Cache key for ``args`` under which equal keys build the same bits.
+
+    -0.0 == 0.0 (whose results differ in the sign of their zeros) and
+    float32(x) == x would share an entry, so the key also holds the type and
+    sign of each real argument.  Every cache of built operators keys on this.
+    """
+    kinds = tuple(
+        (type(a), math.copysign(1.0, a)) for a in args if isinstance(a, numbers.Real)
+    )
+    return args, kinds
+
+
 @functools.lru_cache(maxsize=GATE_CACHE_SIZE)
-def _cached_gate(build: Callable, labels: tuple[str, ...], args: tuple, kinds: tuple):
-    gate = build(ModeRegister((label, 2) for label in labels), *args)
+def _cached_gate(build: Callable, labels: tuple[str, ...], key: tuple):
+    gate = build(ModeRegister((label, 2) for label in labels), *key[0])
     gate.matrix.flags.writeable = False
     return gate
 
 
 def _shared_gate(build: Callable, register: ModeRegister, labels: tuple[str, ...], *args):
-    """``build(sub, *args)`` on the qubit sub-register of ``labels``, from the gate cache.
-
-    Equal keys must give the same bits, and -0.0 == 0.0 (whose gates differ in
-    the sign of their zeros) or float32(x) == x would not: so the key also
-    holds the type and sign of each real argument.
-    """
+    """``build(sub, *args)`` on the qubit sub-register of ``labels``, from the gate cache."""
     if len(set(labels)) != len(labels):
         raise ValueError(f"gate targets repeat a mode: {labels}")
     for label in labels:
         dim = register.dims[register.position(label)]
         if dim != 2:
             raise ValueError(f"mode {label!r} has cutoff {dim}; gate needs a qubit mode")
-    kinds = tuple(
-        (type(a), math.copysign(1.0, a)) for a in args if isinstance(a, numbers.Real)
-    )
-    return _cached_gate(build, labels, args, kinds)
+    return _cached_gate(build, labels, _exact_key(args))
 
 
 def phase_gate(register: ModeRegister, mode: str, angle: float) -> LinearOperator:

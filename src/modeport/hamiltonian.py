@@ -17,18 +17,24 @@ call, and the propagator's unitarity is checked block by block.
 
 The two scans in this module quantify the two idealizations behind the gate
 library: the hard-core limit that turns tunneling into a fermionic-style
-swap, and the large-reservoir limit behind the ideal number rotation.
+swap, and the large-reservoir limit behind the ideal number rotation.  A scan
+point's pulse depends only on U/J or nbar, so each is built once per process
+and shared read-only from one bounded cache: a pulse is kept only if its
+register has at most ``PULSE_CACHE_DIM`` states, in an LRU of
+``PULSE_CACHE_SIZE`` entries, and a larger one is built anew on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .fock import (
+    BYTES_BUDGET,
     HERM_ATOL,
     LinearOperator,
     ModeRegister,
@@ -41,8 +47,13 @@ from .fock import (
     partial_trace,
     trace_distance,
 )
-from .gates import number_rotation_matrix
+from .gates import _exact_key, number_rotation_matrix
 from .reservoir import ReservoirSpec, coherent_state
+
+# A kept rotation pulse holds about 64 bytes per basis state, half in its blocks
+# and half in its register's tables, so the cache retains at most about 32 MB.
+PULSE_CACHE_SIZE = 8
+PULSE_CACHE_DIM = 2**16
 
 
 @dataclass(frozen=True)
@@ -85,9 +96,13 @@ def build_hamiltonian(
     Every nonzero coupling must reference modes present in the register.
     Each term is scattered straight into the blocks of ``register.sectors``,
     so no dim x dim matrix is formed; a term entry between two total-number
-    sectors is rejected, and Hermiticity is checked block by block.
+    sectors is rejected, and Hermiticity is checked block by block.  Block
+    storage past ``BYTES_BUDGET`` is refused before it is allocated.
     """
-    flat = np.zeros(sum(idx.size * idx.shape[1] for idx in register.sectors), np.complex128)
+    entries = sum(idx.size * idx.shape[1] for idx in register.sectors)
+    if 16 * entries > BYTES_BUDGET:
+        raise ValueError(f"Hamiltonian blocks need {16 * entries} bytes, over {BYTES_BUDGET}")
+    flat = np.zeros(entries, np.complex128)
     # Entry (i, j) of a sector's block is flat[row[i] + col[j]].
     row = np.empty(register.dim, dtype=np.intp)
     col = np.empty(register.dim, dtype=np.intp)
@@ -177,6 +192,24 @@ def evolve(state: QuantumState, hamiltonian: LinearOperator, t: float) -> Quantu
     return embed_and_apply(state, propagator(hamiltonian, t))
 
 
+@functools.lru_cache(maxsize=PULSE_CACHE_SIZE)
+def _cached_pulse(build: Callable, key: tuple) -> LinearOperator:
+    return build(*key[0])
+
+
+def _shared_pulse(build: Callable, dim: int, *args) -> LinearOperator:
+    """``build(*args)``, a pulse on ``dim`` states: from the pulse cache if it is small enough."""
+    if dim > PULSE_CACHE_DIM:
+        return build(*args)
+    return _cached_pulse(build, _exact_key(args))
+
+
+def _read_only(pulse: LinearOperator) -> LinearOperator:
+    for block in pulse.blocks:
+        block.flags.writeable = False
+    return pulse
+
+
 # -- hard-core limit ---------------------------------------------------------
 
 
@@ -209,6 +242,7 @@ def _max_abs_over_local_phases(
     return float(value(np.array(0.5 * (lo + hi))))
 
 
+_SWAP_REGISTER = build_register([("A", 3), ("B", 3)])
 # Swap targets per qubit-subspace input: occupation image and its sign.
 _SWAP_TARGETS = {
     (0, 0): ((0, 0), 1.0),
@@ -216,6 +250,16 @@ _SWAP_TARGETS = {
     (1, 0): ((0, 1), 1.0),
     (1, 1): ((1, 1), -1.0),
 }
+
+
+def _swap_pulse(u_over_j: float) -> LinearOperator:
+    """:func:`swap_process_fidelity`'s half-period pulse at ``u_over_j``, read-only."""
+    g = 1.0
+    params = HamiltonianParams(
+        j_ab=2.0 * g, u={"A": u_over_j * g, "B": u_over_j * g}
+    )
+    hamiltonian = build_hamiltonian(_SWAP_REGISTER, params)
+    return _read_only(propagator(hamiltonian, np.pi / (2.0 * g)))
 
 
 def swap_process_fidelity(u_over_j: float) -> float:
@@ -234,17 +278,11 @@ def swap_process_fidelity(u_over_j: float) -> float:
     population transfer; with U = 0 the doubly occupied state returns with
     the wrong relative sign and F = 1/2 even though nothing leaks.
     """
-    g = 1.0
-    register = build_register([("A", 3), ("B", 3)])
-    params = HamiltonianParams(
-        j_ab=2.0 * g, u={"A": u_over_j * g, "B": u_over_j * g}
-    )
-    hamiltonian = build_hamiltonian(register, params)
-    pulse = propagator(hamiltonian, np.pi / (2.0 * g))
+    pulse = _shared_pulse(_swap_pulse, _SWAP_REGISTER.dim, u_over_j)
     amps = {}
     for occ_in, (occ_out, sign) in _SWAP_TARGETS.items():
-        evolved = embed_and_apply(basis_state(register, occ_in), pulse)
-        amps[occ_in] = sign * evolved.data[register.index_of(occ_out)]
+        evolved = embed_and_apply(basis_state(_SWAP_REGISTER, occ_in), pulse)
+        amps[occ_in] = sign * evolved.data[_SWAP_REGISTER.index_of(occ_out)]
     best = _max_abs_over_local_phases(
         amps[(0, 0)], amps[(0, 1)], amps[(1, 0)], amps[(1, 1)]
     )
@@ -276,6 +314,17 @@ def rotation_modes(nbar: float) -> list[tuple[str, int]]:
     return [("probe", 2), ("res", ReservoirSpec("res", nbar).cutoff)]
 
 
+def _rotation_pulse(nbar: float) -> LinearOperator:
+    """:func:`rotation_deviation`'s quarter-rotation pulse at ``nbar``, read-only."""
+    spec = ReservoirSpec("res", nbar)
+    register = build_register(rotation_modes(nbar))
+    omega = 1.0
+    params = HamiltonianParams(omega={"probe": -omega}, reservoir=spec)
+    hamiltonian = build_hamiltonian(register, params)
+    t = np.pi / (2.0 * omega * math.sqrt(nbar))
+    return _read_only(propagator(hamiltonian, t))
+
+
 def rotation_deviation(nbar: float, theta: float = 0.0) -> float:
     """Deviation of the resolved-reservoir rotation from the ideal one.
 
@@ -290,15 +339,11 @@ def rotation_deviation(nbar: float, theta: float = 0.0) -> float:
     r^+ a); the Hamiltonian builder carries the coupling as -omega/2 (...),
     so the scan passes omega = -Omega.
     """
-    spec = ReservoirSpec("res", nbar)
-    res_state, _ = coherent_state(spec, theta)
-    probe = build_register([("probe", 2)])
-    register = build_register(rotation_modes(nbar))
-    omega = 1.0
-    params = HamiltonianParams(omega={"probe": -omega}, reservoir=spec)
-    hamiltonian = build_hamiltonian(register, params)
-    t = np.pi / (2.0 * omega * math.sqrt(nbar))
-    pulse = propagator(hamiltonian, t)
+    res_state, _ = coherent_state(ReservoirSpec("res", nbar), theta)
+    dim = math.prod(d for _, d in rotation_modes(nbar))
+    pulse = _shared_pulse(_rotation_pulse, dim, nbar)
+    register = pulse.register
+    probe = register.restricted(["probe"])
     ideal = number_rotation_matrix(np.pi / 4, theta)
     worst = 0.0
     for occ in (0, 1):

@@ -1,7 +1,12 @@
+import math
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
-from modeport.cli import main
+from modeport import hamiltonian
+from modeport.cli import RunConfig, main
 from modeport.fock import (
     LinearOperator,
     QuantumState,
@@ -19,6 +24,7 @@ from modeport.hamiltonian import (
     propagator,
     reservoir_resolved_rotation,
     rotation_deviation,
+    rotation_modes,
     swap_process_fidelity,
 )
 from modeport.reservoir import ReservoirSpec
@@ -54,6 +60,19 @@ def naive_two_mode_hamiltonian(g, u):
 
 
 class TestBuild:
+    def test_block_storage_past_budget_refused_before_allocating(self):
+        # 2**20 states pass the register bound, but the blocks would need
+        # 715,828,224 complex entries, 11.5 GB.
+        reg = build_register([("A", 1024), ("B", 1024)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="need 11453251584 bytes, over 1090519040"):
+                build_hamiltonian(reg, HamiltonianParams(j_ab=1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000_000
+
     def test_hopping_single_particle_eigenvalues(self):
         reg = build_register([("A", 2), ("B", 2)])
         h = build_hamiltonian(reg, HamiltonianParams(j_ab=1.0))
@@ -426,3 +445,91 @@ class TestReservoirScan:
             reservoir_resolved_rotation([0.0, 4.0])
         with pytest.raises(ValueError, match="ascending"):
             reservoir_resolved_rotation([16.0, 4.0])
+
+
+def shared_swap_pulse(u_over_j):
+    return hamiltonian._shared_pulse(
+        hamiltonian._swap_pulse, hamiltonian._SWAP_REGISTER.dim, u_over_j
+    )
+
+
+def shared_rotation_pulse(nbar):
+    dim = math.prod(d for _, d in rotation_modes(nbar))
+    return hamiltonian._shared_pulse(hamiltonian._rotation_pulse, dim, nbar)
+
+
+class TestPulseCache:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Each pulse the scans build from here on, as (argument, weakref to it)."""
+        built = []
+        for name in ("_swap_pulse", "_rotation_pulse"):
+
+            def spy(arg, build=getattr(hamiltonian, name)):
+                pulse = build(arg)
+                built.append((arg, weakref.ref(pulse)))
+                return pulse
+
+            monkeypatch.setattr(hamiltonian, name, spy)
+        return built
+
+    def test_cached_pulse_equals_fresh_build(self):
+        defaults = RunConfig("hardcore")
+        for ratio in defaults.ratios:
+            swap_process_fidelity(ratio)
+            params = HamiltonianParams(j_ab=2.0, u={"A": ratio, "B": ratio})
+            reg = build_register([("A", 3), ("B", 3)])
+            fresh = propagator(build_hamiltonian(reg, params), np.pi / 2.0)
+            cached = shared_swap_pulse(ratio)
+            assert cached.register == reg
+            assert all(map(np.array_equal, cached.blocks, fresh.blocks))
+        for nbar in defaults.nbars:
+            rotation_deviation(nbar)
+            params = HamiltonianParams(omega={"probe": -1.0}, reservoir=ReservoirSpec("res", nbar))
+            reg = build_register(rotation_modes(nbar))
+            fresh = propagator(build_hamiltonian(reg, params), np.pi / (2.0 * math.sqrt(nbar)))
+            cached = shared_rotation_pulse(nbar)
+            assert cached.register == reg
+            assert all(map(np.array_equal, cached.blocks, fresh.blocks))
+
+    def test_repeat_call_returns_same_object(self, built):
+        assert shared_swap_pulse(3.0) is shared_swap_pulse(3.0)
+        assert shared_rotation_pulse(9.0) is shared_rotation_pulse(9.0)
+        for _ in range(2):
+            swap_process_fidelity(7.0)
+            rotation_deviation(25.0, 0.4)
+        assert [arg for arg, _ in built] == [3.0, 9.0, 7.0, 25.0]
+
+    def test_blocks_are_read_only(self):
+        for pulse in (shared_swap_pulse(3.0), shared_rotation_pulse(9.0)):
+            for block in pulse.blocks:
+                with pytest.raises(ValueError, match="read-only"):
+                    block[0, 0, 0] = 2.0
+
+    def test_signed_zero_gets_its_own_entry(self, built):
+        positive = shared_swap_pulse(0.0)
+        negative = shared_swap_pulse(-0.0)
+        assert positive is not negative
+        assert positive is shared_swap_pulse(0.0)
+        assert negative is shared_swap_pulse(-0.0)
+        assert [math.copysign(1.0, arg) for arg, _ in built] == [1.0, -1.0]
+
+    def test_pulse_past_size_limit_is_not_retained(self, built):
+        kept, large = 31000.0, 31010.0
+        dims = [math.prod(d for _, d in rotation_modes(n)) for n in (kept, large)]
+        assert dims[0] <= hamiltonian.PULSE_CACHE_DIM < dims[1]
+        rotation_deviation(kept)
+        rotation_deviation(large)
+        (_, kept_ref), (_, large_ref) = built
+        assert kept_ref() is not None
+        assert large_ref() is None
+
+    def test_bad_input_raises_on_every_call(self):
+        nan = float("nan")  # one object, so both calls have an equal key
+        for _ in range(2):
+            for ratio in (nan, math.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    swap_process_fidelity(ratio)
+            for nbar in (nan, 0.0, -4.0):
+                with pytest.raises(ValueError, match="positive"):
+                    rotation_deviation(nbar)
