@@ -727,7 +727,8 @@ def phase_average(state: QuantumState, probability: np.ndarray) -> QuantumState:
     renormalized by the average probability, which is the correct
     conditional state once the phases are unknown; the weighted matrix is a
     block of the pre-measurement density matrix, so the grid average is
-    exact.
+    exact.  The grid mean sums in an order set by the state's memory layout,
+    not only its values, so a rewrite that re-lays out the data moves bits.
     """
     if not state.grids:
         return state.to_density()

@@ -64,7 +64,9 @@ def twirl_state(state: QuantumState, symbol: str) -> QuantumState:
 
     Returns a density matrix without the named symbol.  The average is exact
     (not approximate) provided the grid resolves the state's recorded
-    Fourier order, which is checked; a coarser grid raises.
+    Fourier order, which is checked; a coarser grid raises.  The grid mean
+    sums in an order set by the state's memory layout, not only its values,
+    so a rewrite that re-lays out the data moves bits.
     """
     grid = state.grid_for(symbol)
     order = state.fourier_for(symbol)
