@@ -60,12 +60,12 @@ def _grid_entries(config: RunConfig) -> int:
     return 8 * m ** (1 if config.shared_reservoir else 2)
 
 
-# Peak RSS grows with --n for a sweep, which keeps one JSON row per run, about
-# 2.5 KB (39.4 MB peak at n = 200, 43.8 MB at n = 2,000).  n is refused past
-# BYTES_BUDGET, 260 bytes per MAX_REGISTER_DIM state, about 1.1 GB: so n <= 436,207
-# for sweep.  selftest judges each run as it is made and keeps none (43 MB peak
-# at --grid 64 for n = 20 and n = 400); it keeps the bound its per-run records
-# once set, 51 KB a run, so n <= 21,299, about a minute of runs at grid 16.
+# Bytes counted per run when --n is checked against BYTES_BUDGET (260 bytes per
+# MAX_REGISTER_DIM state, about 1.1 GB).  A sweep keeps one JSON row per run,
+# about 2.5 KB (39.4 MB peak at n = 200, 43.8 MB at n = 2,000): n <= 436,207.
+# selftest judges each run as it is made and keeps none (43 MB peak at --grid 64
+# for n = 20 and n = 400); the 51 KB its per-run records once took stays as its
+# count, so n <= 21,299, which bounds run time to about a minute at grid 16.
 RUN_BYTES = {"sweep": 2_500, "selftest": 51_200}
 
 
@@ -196,10 +196,10 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
             file=sys.stderr,
         )
         raise SystemExit(2)
-    kept = config.n * RUN_BYTES.get(config.command, 0)
-    if kept > BYTES_BUDGET:  # refused before the corpus is drawn
+    counted = config.n * RUN_BYTES.get(config.command, 0)
+    if counted > BYTES_BUDGET:  # refused before the corpus is drawn
         print(
-            f"modeport: --n {config.n}: runs keep about {kept} bytes, over {BYTES_BUDGET}",
+            f"modeport: --n {config.n}: runs count as {counted} bytes, over {BYTES_BUDGET}",
             file=sys.stderr,
         )
         raise SystemExit(2)

@@ -20,9 +20,11 @@ angle as a Fourier order and checked whenever an average is taken.
 from __future__ import annotations
 
 import math
+import numbers
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -508,6 +510,43 @@ class LinearOperator:
     def __repr__(self) -> str:
         sym = ",".join(self.phase_symbols) or "-"
         return f"LinearOperator({self.kind}, {self.register!r}, symbols={sym})"
+
+
+# A rotation pulse at the size limit holds about 1.05 MB with its register's
+# tables, so the cache retains about 32 MB.
+OPERATOR_CACHE_SIZE = 32
+OPERATOR_CACHE_DIM = 2**14
+_operators: OrderedDict[tuple, LinearOperator] = OrderedDict()
+
+
+def _exact_key(args: tuple) -> tuple:
+    """``args`` with the type and sign of each real one: -0.0 == 0.0 and
+    float32(x) == x, but they build different bits, so they get separate keys."""
+    kinds = tuple(
+        (type(a), math.copysign(1.0, a)) for a in args if isinstance(a, numbers.Real)
+    )
+    return args, kinds
+
+
+def shared_operator(build: Callable[..., LinearOperator], *args) -> LinearOperator:
+    """``build(*args)`` with its arrays read-only, from one bounded LRU cache.
+
+    An operator is kept only if its register has at most ``OPERATOR_CACHE_DIM``
+    states; a larger one, or a build that raises, leaves the cache as it was.
+    """
+    key = (build, _exact_key(args))
+    op = _operators.get(key)
+    if op is not None:
+        _operators.move_to_end(key)
+        return op
+    op = build(*args)
+    for array in op.blocks or (op._matrix,):
+        array.flags.writeable = False
+    if op.register.dim <= OPERATOR_CACHE_DIM:
+        _operators[key] = op
+        if len(_operators) > OPERATOR_CACHE_SIZE:
+            _operators.popitem(last=False)
+    return op
 
 
 def ladder_operator(register: ModeRegister, mode: str, which: str) -> LinearOperator:

@@ -9,56 +9,35 @@ symmetric Bell state); see :func:`hopping_gate`.  The reservoir-assisted rotatio
 carries the reservoir phase as a :class:`PhaseGrid` symbol and is
 instantiated at every grid point.
 
-Each builder returns a shared, read-only operator: gates are kept in one
-small bounded cache keyed on the target labels and the builder's other
-arguments, so a circuit that repeats a gate builds it once.  The key holds
-the labels, not the caller's register, so the cache keeps no large register
-alive; the targets are checked against the register on every call.
+Each builder returns a shared, read-only operator from the one operator
+cache, :func:`modeport.fock.shared_operator`, keyed on the target labels and
+the builder's other arguments, so a circuit that repeats a gate builds it
+once.  The key holds the labels, not the caller's register, so the cache keeps
+no large register alive; the targets are checked on every call.
 """
 
 from __future__ import annotations
 
-import functools
-import math
-import numbers
 from typing import Callable
 
 import numpy as np
 
-from .fock import LinearOperator, ModeRegister, PhaseGrid
-
-GATE_CACHE_SIZE = 32
+from .fock import LinearOperator, ModeRegister, PhaseGrid, shared_operator
 
 
-def _exact_key(args: tuple) -> tuple:
-    """Cache key for ``args`` under which equal keys build the same bits.
-
-    -0.0 == 0.0 (whose results differ in the sign of their zeros) and
-    float32(x) == x would share an entry, so the key also holds the type and
-    sign of each real argument.  Every cache of built operators keys on this.
-    """
-    kinds = tuple(
-        (type(a), math.copysign(1.0, a)) for a in args if isinstance(a, numbers.Real)
-    )
-    return args, kinds
-
-
-@functools.lru_cache(maxsize=GATE_CACHE_SIZE)
-def _cached_gate(build: Callable, labels: tuple[str, ...], key: tuple):
-    gate = build(ModeRegister((label, 2) for label in labels), *key[0])
-    gate.matrix.flags.writeable = False
-    return gate
+def _on_qubits(build: Callable, labels: tuple[str, ...], *args) -> LinearOperator:
+    return build(ModeRegister((label, 2) for label in labels), *args)
 
 
 def _shared_gate(build: Callable, register: ModeRegister, labels: tuple[str, ...], *args):
-    """``build(sub, *args)`` on the qubit sub-register of ``labels``, from the gate cache."""
+    """``build(sub, *args)`` on the qubit sub-register of ``labels``, from the operator cache."""
     if len(set(labels)) != len(labels):
         raise ValueError(f"gate targets repeat a mode: {labels}")
     for label in labels:
         dim = register.dims[register.position(label)]
         if dim != 2:
             raise ValueError(f"mode {label!r} has cutoff {dim}; gate needs a qubit mode")
-    return _cached_gate(build, labels, _exact_key(args))
+    return shared_operator(_on_qubits, build, labels, *args)
 
 
 def phase_gate(register: ModeRegister, mode: str, angle: float) -> LinearOperator:

@@ -19,17 +19,16 @@ The two scans in this module quantify the two idealizations behind the gate
 library: the hard-core limit that turns tunneling into a fermionic-style
 swap, and the large-reservoir limit behind the ideal number rotation.  A scan
 point's pulse depends only on U/J or nbar, so each is built once per process
-and shared read-only from one bounded cache: a pulse is kept only if its
-register has at most ``PULSE_CACHE_DIM`` states, in an LRU of
-``PULSE_CACHE_SIZE`` entries, and a larger one is built anew on every call.
+and shared read-only from the package's one operator cache
+(:func:`~modeport.fock.shared_operator`), the cache that also holds the gates;
+a pulse on more than ``OPERATOR_CACHE_DIM`` states is built anew on every call.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -45,15 +44,11 @@ from .fock import (
     build_register,
     embed_and_apply,
     partial_trace,
+    shared_operator,
     trace_distance,
 )
-from .gates import _exact_key, number_rotation_matrix
+from .gates import number_rotation_matrix
 from .reservoir import ReservoirSpec, coherent_state
-
-# A kept rotation pulse holds about 64 bytes per basis state, half in its blocks
-# and half in its register's tables, so the cache retains at most about 32 MB.
-PULSE_CACHE_SIZE = 8
-PULSE_CACHE_DIM = 2**16
 
 
 @dataclass(frozen=True)
@@ -192,22 +187,14 @@ def evolve(state: QuantumState, hamiltonian: LinearOperator, t: float) -> Quantu
     return embed_and_apply(state, propagator(hamiltonian, t))
 
 
-@functools.lru_cache(maxsize=PULSE_CACHE_SIZE)
-def _cached_pulse(build: Callable, key: tuple) -> LinearOperator:
-    return build(*key[0])
-
-
-def _shared_pulse(build: Callable, dim: int, *args) -> LinearOperator:
-    """``build(*args)``, a pulse on ``dim`` states: from the pulse cache if it is small enough."""
-    if dim > PULSE_CACHE_DIM:
-        return build(*args)
-    return _cached_pulse(build, _exact_key(args))
-
-
-def _read_only(pulse: LinearOperator) -> LinearOperator:
-    for block in pulse.blocks:
-        block.flags.writeable = False
-    return pulse
+def _scan_points(values: Sequence[float], name: str) -> list[float]:
+    """``values`` as floats; ValueError unless they are positive and ascending."""
+    points = [float(v) for v in values]
+    if any(p <= 0 for p in points):
+        raise ValueError(f"{name} must be positive")
+    if sorted(points) != points:
+        raise ValueError(f"{name} must be ascending")
+    return points
 
 
 # -- hard-core limit ---------------------------------------------------------
@@ -253,13 +240,13 @@ _SWAP_TARGETS = {
 
 
 def _swap_pulse(u_over_j: float) -> LinearOperator:
-    """:func:`swap_process_fidelity`'s half-period pulse at ``u_over_j``, read-only."""
+    """:func:`swap_process_fidelity`'s half-period pulse at ``u_over_j``."""
     g = 1.0
     params = HamiltonianParams(
         j_ab=2.0 * g, u={"A": u_over_j * g, "B": u_over_j * g}
     )
     hamiltonian = build_hamiltonian(_SWAP_REGISTER, params)
-    return _read_only(propagator(hamiltonian, np.pi / (2.0 * g)))
+    return propagator(hamiltonian, np.pi / (2.0 * g))
 
 
 def swap_process_fidelity(u_over_j: float) -> float:
@@ -278,7 +265,7 @@ def swap_process_fidelity(u_over_j: float) -> float:
     population transfer; with U = 0 the doubly occupied state returns with
     the wrong relative sign and F = 1/2 even though nothing leaks.
     """
-    pulse = _shared_pulse(_swap_pulse, _SWAP_REGISTER.dim, u_over_j)
+    pulse = shared_operator(_swap_pulse, u_over_j)
     amps = {}
     for occ_in, (occ_out, sign) in _SWAP_TARGETS.items():
         evolved = embed_and_apply(basis_state(_SWAP_REGISTER, occ_in), pulse)
@@ -298,11 +285,7 @@ def hardcore_limit_scan(
     zero as U/J grows, which is the executable form of the hard-core
     assumption behind the idealized swap gate.
     """
-    ratios = [float(r) for r in u_over_j]
-    if any(r <= 0 for r in ratios):
-        raise ValueError("interaction ratios must be positive")
-    if sorted(ratios) != ratios:
-        raise ValueError("interaction ratios must be ascending")
+    ratios = _scan_points(u_over_j, "interaction ratios")
     return [(r, 1.0 - swap_process_fidelity(r)) for r in ratios]
 
 
@@ -315,14 +298,14 @@ def rotation_modes(nbar: float) -> list[tuple[str, int]]:
 
 
 def _rotation_pulse(nbar: float) -> LinearOperator:
-    """:func:`rotation_deviation`'s quarter-rotation pulse at ``nbar``, read-only."""
+    """:func:`rotation_deviation`'s quarter-rotation pulse at ``nbar``."""
     spec = ReservoirSpec("res", nbar)
     register = build_register(rotation_modes(nbar))
     omega = 1.0
     params = HamiltonianParams(omega={"probe": -omega}, reservoir=spec)
     hamiltonian = build_hamiltonian(register, params)
     t = np.pi / (2.0 * omega * math.sqrt(nbar))
-    return _read_only(propagator(hamiltonian, t))
+    return propagator(hamiltonian, t)
 
 
 def rotation_deviation(nbar: float, theta: float = 0.0) -> float:
@@ -340,8 +323,7 @@ def rotation_deviation(nbar: float, theta: float = 0.0) -> float:
     so the scan passes omega = -Omega.
     """
     res_state, _ = coherent_state(ReservoirSpec("res", nbar), theta)
-    dim = math.prod(d for _, d in rotation_modes(nbar))
-    pulse = _shared_pulse(_rotation_pulse, dim, nbar)
+    pulse = shared_operator(_rotation_pulse, nbar)
     register = pulse.register
     probe = register.restricted(["probe"])
     ideal = number_rotation_matrix(np.pi / 4, theta)
@@ -364,9 +346,5 @@ def reservoir_resolved_rotation(
     executable form of the large-reservoir assumption behind the idealized
     number rotation.
     """
-    values = [float(n) for n in nbars]
-    if any(n <= 0 for n in values):
-        raise ValueError("nbar values must be positive")
-    if sorted(values) != values:
-        raise ValueError("nbar values must be ascending")
+    values = _scan_points(nbars, "nbar values")
     return [(n, rotation_deviation(n, theta)) for n in values]

@@ -16,6 +16,7 @@ resolved reservoir, a mode holding a truncated coherent state, is a
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,10 @@ SSR_ATOL = 1e-12
 class ReservoirSpec:
     """A resolved condensate reservoir mode with mean occupation ``nbar``.
 
-    Its truncated coherent state keeps occupations 0 .. cutoff - 1.  The
-    cutoff must be at least nbar + 10*sqrt(nbar) so the truncated state
-    retains essentially all of its norm; ``cutoff=None`` takes the smallest
-    integer the rule allows, and at least 2.
+    Its truncated coherent state keeps occupations 0 .. cutoff - 1.  ``nbar``
+    must be finite, and the cutoff an integer of at least nbar + 10*sqrt(nbar)
+    so the truncated state retains essentially all of its norm; ``cutoff=None``
+    takes the smallest integer the rule allows, and at least 2.
     """
 
     label: str
@@ -47,11 +48,13 @@ class ReservoirSpec:
     def __post_init__(self):
         if not str(self.label).isidentifier():
             raise ValueError(f"reservoir label {self.label!r} is not an identifier")
-        if not self.nbar > 0:
-            raise ValueError("reservoir mean occupation must be positive")
+        if not (self.nbar > 0 and math.isfinite(self.nbar)):
+            raise ValueError("reservoir mean occupation must be positive and finite")
         needed = self.nbar + 10.0 * math.sqrt(self.nbar)
         if self.cutoff is None:
             object.__setattr__(self, "cutoff", max(2, math.ceil(needed)))
+        elif not isinstance(self.cutoff, numbers.Integral):
+            raise ValueError(f"reservoir cutoff {self.cutoff!r} is not an integer")
         elif self.cutoff < needed:
             raise ValueError(
                 f"reservoir cutoff {self.cutoff} too small for nbar={self.nbar}; "

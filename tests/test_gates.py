@@ -8,7 +8,7 @@ from modeport.fock import (
     embed_and_apply,
     from_amplitudes,
 )
-from modeport import gates
+from modeport import fock, gates
 from modeport.gates import (
     fermionic_swap_gate,
     hopping_gate,
@@ -247,9 +247,9 @@ class TestSharedGates:
                 gate.matrix[..., 0, 0] = 2.0
 
     def test_cache_is_bounded(self, pair):
-        for angle in np.linspace(0.0, 1.0, 3 * gates.GATE_CACHE_SIZE):
+        for angle in np.linspace(0.0, 1.0, 3 * fock.OPERATOR_CACHE_SIZE):
             phase_gate(pair, "a", float(angle))
-        assert gates._cached_gate.cache_info().currsize <= gates.GATE_CACHE_SIZE
+        assert len(fock._operators) <= fock.OPERATOR_CACHE_SIZE
 
     def test_bad_target_raises_on_every_call(self, pair, grid):
         phase_gate(pair, "a", 0.3)  # the good call is cached first

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 import weakref
@@ -5,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from modeport import hamiltonian
+from modeport import fock, hamiltonian
 from modeport.cli import RunConfig, main
 from modeport.fock import (
     LinearOperator,
@@ -14,8 +15,9 @@ from modeport.fock import (
     build_register,
     from_amplitudes,
     ladder_operator,
+    shared_operator,
 )
-from modeport.gates import number_rotation_matrix
+from modeport.gates import number_rotation_matrix, phase_gate
 from modeport.hamiltonian import (
     HamiltonianParams,
     build_hamiltonian,
@@ -446,16 +448,19 @@ class TestReservoirScan:
         with pytest.raises(ValueError, match="ascending"):
             reservoir_resolved_rotation([16.0, 4.0])
 
+    def test_infinite_nbar_raises_value_error(self):
+        with pytest.raises(ValueError, match="finite"):
+            rotation_deviation(math.inf)
+        with pytest.raises(ValueError, match="finite"):
+            reservoir_resolved_rotation([4.0, math.inf])
+
 
 def shared_swap_pulse(u_over_j):
-    return hamiltonian._shared_pulse(
-        hamiltonian._swap_pulse, hamiltonian._SWAP_REGISTER.dim, u_over_j
-    )
+    return shared_operator(hamiltonian._swap_pulse, u_over_j)
 
 
 def shared_rotation_pulse(nbar):
-    dim = math.prod(d for _, d in rotation_modes(nbar))
-    return hamiltonian._shared_pulse(hamiltonian._rotation_pulse, dim, nbar)
+    return shared_operator(hamiltonian._rotation_pulse, nbar)
 
 
 class TestPulseCache:
@@ -515,9 +520,9 @@ class TestPulseCache:
         assert [math.copysign(1.0, arg) for arg, _ in built] == [1.0, -1.0]
 
     def test_pulse_past_size_limit_is_not_retained(self, built):
-        kept, large = 31000.0, 31010.0
+        kept, large = 7330.0, 7340.0
         dims = [math.prod(d for _, d in rotation_modes(n)) for n in (kept, large)]
-        assert dims[0] <= hamiltonian.PULSE_CACHE_DIM < dims[1]
+        assert dims[0] <= fock.OPERATOR_CACHE_DIM < dims[1]
         rotation_deviation(kept)
         rotation_deviation(large)
         (_, kept_ref), (_, large_ref) = built
@@ -533,3 +538,28 @@ class TestPulseCache:
             for nbar in (nan, 0.0, -4.0):
                 with pytest.raises(ValueError, match="positive"):
                     rotation_deviation(nbar)
+
+    def test_gates_and_pulses_share_one_bound(self, built):
+        first = swap_process_fidelity(3.0)
+        ((_, pulse_ref),) = built
+        assert pulse_ref() is not None
+        filler = build_register([("filler", 2)])  # a label no other test caches
+        for k in range(fock.OPERATOR_CACHE_SIZE):
+            phase_gate(filler, "filler", 100.0 + k)
+        gc.collect()
+        assert pulse_ref() is None
+        assert swap_process_fidelity(3.0).hex() == first.hex()
+        assert [arg for arg, _ in built] == [3.0, 3.0]
+
+    def test_retained_bytes_are_bounded(self):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            pulse = hamiltonian._rotation_pulse(7330.0)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # A pulse at the size limit, with its register's tables.
+        assert 0.99 * fock.OPERATOR_CACHE_DIM < pulse.register.dim <= fock.OPERATOR_CACHE_DIM
+        assert retained * fock.OPERATOR_CACHE_SIZE <= 40_000_000

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,17 @@ class TestCoherentState:
     def test_cutoff_invariant_enforced(self):
         with pytest.raises(ValueError, match="cutoff"):
             ReservoirSpec("res", 4.0, cutoff=10)
+
+    def test_non_finite_nbar_rejected(self):
+        for nbar in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                ReservoirSpec("res", nbar)
+
+    def test_non_integer_cutoff_rejected(self):
+        for cutoff in (30.5, 30.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="not an integer"):
+                ReservoirSpec("res", 4.0, cutoff=cutoff)
+        assert ReservoirSpec("res", 4.0, cutoff=np.int64(30)).cutoff == 30
 
     def test_default_cutoff_is_smallest_allowed(self):
         assert ReservoirSpec("res", 4.0).cutoff == 24
