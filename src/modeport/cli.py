@@ -19,7 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from .fock import BYTES_BUDGET, MAX_REGISTER_DIM, check_register_size
-from .hamiltonian import hardcore_limit_scan, reservoir_resolved_rotation, rotation_modes
+from .hamiltonian import (
+    MAX_SWAP_RATIO,
+    hardcore_limit_scan,
+    reservoir_resolved_rotation,
+    rotation_modes,
+)
 from .protocol import (
     GENERATOR_NAME,
     SUCCESS_STATUS,
@@ -200,6 +205,13 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     if counted > BYTES_BUDGET:  # refused before the corpus is drawn
         print(
             f"modeport: --n {config.n}: runs count as {counted} bytes, over {BYTES_BUDGET}",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
+    if config.command == "hardcore" and config.ratios[-1] > MAX_SWAP_RATIO:  # the largest is last
+        print(
+            f"modeport: --ratios {config.ratios[-1]:g}: over {MAX_SWAP_RATIO:.12g}, "
+            "where the swap pulse's phases overflow",
             file=sys.stderr,
         )
         raise SystemExit(2)

@@ -22,11 +22,18 @@ point's pulse depends only on U/J or nbar, so each is built once per process
 and shared read-only from the package's one operator cache
 (:func:`~modeport.fock.shared_operator`), the cache that also holds the gates;
 a pulse on more than ``OPERATOR_CACHE_DIM`` states is built anew on every call.
+The hard-core scan reads each ratio's four swap amplitudes straight from its
+cached pulse's sector blocks and optimizes the local phases of all ratios in
+one lockstep search, bit for bit the values of a search run one ratio at a
+time; a ratio past ``MAX_SWAP_RATIO``, where the pulse's phases overflow, is
+refused before its pulse is built.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -199,34 +206,64 @@ def _scan_points(values: Sequence[float], name: str) -> list[float]:
 
 # -- hard-core limit ---------------------------------------------------------
 
+_PHASE_GRID = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+_GRID_PHASES = np.exp(1j * _PHASE_GRID)
+
+
+def _phase_objective(
+    points: Sequence[tuple[complex, ...]], angles: Sequence[float]
+) -> list[float]:
+    """|w + x e^{ia}| + |y + z e^{ia}| for each point (w, x, y, z) and its angle a.
+
+    Each term is formed in Python complex arithmetic (``cmath.exp``, unfused
+    products), and all magnitudes are taken with one ``np.abs``.
+    """
+    terms = []
+    for (w, x, y, z), a in zip(points, angles):
+        phase = cmath.exp(1j * a)
+        terms += (w + x * phase, y + z * phase)
+    size = np.abs(np.array(terms, dtype=np.complex128))
+    return (size[0::2] + size[1::2]).tolist()
+
 
 def _max_abs_over_local_phases(
-    w: complex, x: complex, y: complex, z: complex
-) -> float:
-    """max over phases a, b of |w + x e^{ia} + y e^{ib} + z e^{i(a+b)}|.
+    points: Sequence[Sequence[complex]],
+) -> list[float]:
+    """max over phases a, b of |w + x e^{ia} + y e^{ib} + z e^{i(a+b)}|, per (w, x, y, z).
 
     For fixed a the optimal b aligns (y + z e^{ia}) with (w + x e^{ia}), so
-    the objective reduces to |w + x e^{ia}| + |y + z e^{ia}|; that is scanned
-    densely and refined by ternary search.
+    the objective reduces to |w + x e^{ia}| + |y + z e^{ia}|.  Each point is
+    scanned on its own over 720 phases (array ops of 720 entries, so memory
+    does not grow with the number of points), and the best phase +- one grid
+    step brackets a ternary search.  The searches run in lockstep: each round
+    probes the two inner thirds of every bracket still wider than 1e-12, and
+    the result is read at each bracket's midpoint.  Probes go through
+    :func:`_phase_objective`, whose bits equal those of a search run on one
+    point with numpy scalars and 0-d arrays; a complex array product is
+    FMA-fused and ``abs``/``math.hypot`` round differently, so either would
+    move the scan's last bits.
     """
-
-    def value(a: np.ndarray) -> np.ndarray:
-        phase = np.exp(1j * a)
-        return np.abs(w + x * phase) + np.abs(y + z * phase)
-
-    grid = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-    values = value(grid)
-    i = int(np.argmax(values))
-    lo = grid[i] - 2.0 * np.pi / 720
-    hi = grid[i] + 2.0 * np.pi / 720
-    while hi - lo > 1e-12:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if value(np.array(m1)) < value(np.array(m2)):
-            lo = m1
-        else:
-            hi = m2
-    return float(value(np.array(0.5 * (lo + hi))))
+    points = [tuple(map(complex, p)) for p in points]
+    step = 2.0 * np.pi / 720
+    brackets = []
+    for w, x, y, z in points:
+        i = int(np.argmax(np.abs(w + x * _GRID_PHASES) + np.abs(y + z * _GRID_PHASES)))
+        brackets.append([float(_PHASE_GRID[i] - step), float(_PHASE_GRID[i] + step)])
+    active = [k for k, (lo, hi) in enumerate(brackets) if hi - lo > 1e-12]
+    while active:
+        probes = []
+        for k in active:
+            lo, hi = brackets[k]
+            third = (hi - lo) / 3.0
+            probes += (lo + third, hi - third)
+        values = _phase_objective([points[k] for k in active for _ in (0, 1)], probes)
+        for j, k in enumerate(active):
+            if values[2 * j] < values[2 * j + 1]:
+                brackets[k][0] = probes[2 * j]
+            else:
+                brackets[k][1] = probes[2 * j + 1]
+        active = [k for k in active if brackets[k][1] - brackets[k][0] > 1e-12]
+    return _phase_objective(points, [0.5 * (lo + hi) for lo, hi in brackets])
 
 
 _SWAP_REGISTER = build_register([("A", 3), ("B", 3)])
@@ -239,8 +276,36 @@ _SWAP_TARGETS = {
 }
 
 
+def _swap_entries() -> list[tuple[int, int, int, int, float]]:
+    """Where each target amplitude <out|P|in> of :data:`_SWAP_TARGETS` sits in
+    the pulse's blocks: (block, sector, row of out, column of in, sign)."""
+    where = {
+        int(i): (b, s, pos)
+        for b, idx in enumerate(_SWAP_REGISTER.sectors)
+        for (s, pos), i in np.ndenumerate(idx)
+    }
+    entries = []
+    for occ_in, (occ_out, sign) in _SWAP_TARGETS.items():
+        b, s, col = where[_SWAP_REGISTER.index_of(occ_in)]
+        row = where[_SWAP_REGISTER.index_of(occ_out)][2]
+        entries.append((b, s, row, col, sign))
+    return entries
+
+
+_SWAP_ENTRIES = _swap_entries()
+# The pulse's largest eigenphase is t = pi/2 times its top energy: the on-site
+# 4 U/J of |2,2> plus at most 2 from the hop (j_ab = 2).  Past this ratio the
+# phase overflows and the pulse turns NaN.
+MAX_SWAP_RATIO = (sys.float_info.max / (np.pi / 2.0) - 2.0) / 4.0
+
+
 def _swap_pulse(u_over_j: float) -> LinearOperator:
     """:func:`swap_process_fidelity`'s half-period pulse at ``u_over_j``."""
+    if not abs(u_over_j) <= MAX_SWAP_RATIO:
+        raise ValueError(
+            f"U/J {u_over_j!r} is not finite or past {MAX_SWAP_RATIO!r}, "
+            "where the swap pulse's phases overflow"
+        )
     g = 1.0
     params = HamiltonianParams(
         j_ab=2.0 * g, u={"A": u_over_j * g, "B": u_over_j * g}
@@ -249,31 +314,34 @@ def _swap_pulse(u_over_j: float) -> LinearOperator:
     return propagator(hamiltonian, np.pi / (2.0 * g))
 
 
+def _swap_fidelities(ratios: Sequence[float]) -> list[float]:
+    """:func:`swap_process_fidelity` at each ratio, one lockstep phase search."""
+    amplitudes = []
+    for ratio in ratios:
+        blocks = shared_operator(_swap_pulse, ratio).blocks
+        amplitudes.append([sign * blocks[b][s, row, col] for b, s, row, col, sign in _SWAP_ENTRIES])
+    return [(best / 4.0) ** 2 for best in _max_abs_over_local_phases(amplitudes)]
+
+
 def swap_process_fidelity(u_over_j: float) -> float:
     """Gate fidelity of the tunneling-realized swap against the ideal one.
 
     Two modes with occupation cutoff 3 evolve under tunneling plus on-site
     repulsion U for a half period of the single-particle exchange (hopping
     matrix element g, pulse time pi / (2 g); the Hamiltonian carries the
-    tunneling energy as j_ab = 2 g).  The evolved qubit-subspace amplitudes
-    are compared with the fermionic swap truth table after optimizing the
-    three free local phases:
+    tunneling energy as j_ab = 2 g).  The evolved qubit-subspace amplitudes,
+    read straight from the cached pulse's sector blocks, are compared with
+    the fermionic swap truth table after optimizing the three free local
+    phases:
 
         F = max_phases |(1/4) sum_s <target_s| P |out_s>|^2
 
     The coherent sum makes F sensitive to the phase structure, not just to
     population transfer; with U = 0 the doubly occupied state returns with
-    the wrong relative sign and F = 1/2 even though nothing leaks.
+    the wrong relative sign and F = 1/2 even though nothing leaks.  |U/J|
+    must be finite and at most ``MAX_SWAP_RATIO``.
     """
-    pulse = shared_operator(_swap_pulse, u_over_j)
-    amps = {}
-    for occ_in, (occ_out, sign) in _SWAP_TARGETS.items():
-        evolved = embed_and_apply(basis_state(_SWAP_REGISTER, occ_in), pulse)
-        amps[occ_in] = sign * evolved.data[_SWAP_REGISTER.index_of(occ_out)]
-    best = _max_abs_over_local_phases(
-        amps[(0, 0)], amps[(0, 1)], amps[(1, 0)], amps[(1, 1)]
-    )
-    return (best / 4.0) ** 2
+    return _swap_fidelities([u_over_j])[0]
 
 
 def hardcore_limit_scan(
@@ -281,12 +349,13 @@ def hardcore_limit_scan(
 ) -> list[tuple[float, float]]:
     """Process infidelity of the realized swap for each interaction ratio.
 
-    Ratios must be positive and ascending.  The infidelity decreases toward
-    zero as U/J grows, which is the executable form of the hard-core
-    assumption behind the idealized swap gate.
+    Ratios must be positive, ascending and at most ``MAX_SWAP_RATIO``.  The
+    infidelity decreases toward zero as U/J grows, which is the executable
+    form of the hard-core assumption behind the idealized swap gate.  All
+    ratios share one lockstep phase search.
     """
     ratios = _scan_points(u_over_j, "interaction ratios")
-    return [(r, 1.0 - swap_process_fidelity(r)) for r in ratios]
+    return [(r, 1.0 - f) for r, f in zip(ratios, _swap_fidelities(ratios))]
 
 
 # -- reservoir limit ---------------------------------------------------------

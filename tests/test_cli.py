@@ -97,6 +97,35 @@ class TestParsing:
         assert peak < 1_000_000
         assert not out.exists()
 
+    def test_ratio_bound(self, capsys):
+        largest = cli.MAX_SWAP_RATIO
+        assert parse_config(["hardcore", "--ratios", repr(largest)]).ratios == (largest,)
+        past = math.nextafter(largest, math.inf)
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["hardcore", "--ratios", f"1,{past!r}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"modeport: --ratios {past:g}: over 2.86111748576e+307, "
+            "where the swap pulse's phases overflow\n"
+        )
+
+    def test_huge_ratio_below_bound_runs(self, tmp_path):
+        out = tmp_path / "hardcore.csv"
+        assert main(["hardcore", "--ratios", "1e307", "--out", str(out)]) == 0
+        assert out.read_bytes() == b"ratio,infidelity\n1e+307,2.22044604925e-16\n"
+
+    @pytest.mark.parametrize("ratio", ["3e307", "5e307", "1e308"])
+    def test_ratio_past_bound_exits_2_before_running(self, tmp_path, ratio, capsys):
+        out = tmp_path / "hardcore.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["hardcore", "--ratios", ratio, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"modeport: --ratios {float(ratio):g}: over ")
+        assert not out.exists()
+
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
             parse_config(["teleport", "--bogus", "1"])

@@ -1,10 +1,15 @@
 import gc
 import math
+import re
+import sys
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modeport import fock, hamiltonian
 from modeport.cli import RunConfig, main
@@ -19,6 +24,7 @@ from modeport.fock import (
 )
 from modeport.gates import number_rotation_matrix, phase_gate
 from modeport.hamiltonian import (
+    MAX_SWAP_RATIO,
     HamiltonianParams,
     build_hamiltonian,
     evolve,
@@ -222,6 +228,18 @@ HARDCORE_CSV = (
     "100,6.17453821101e-05\n"
     "1000,6.16856317026e-07\n"
 )
+# `modeport hardcore --ratios 0.5,1,3,10,100,1000,10000`, byte for byte; the
+# 10**4 row moves if the fidelity moves by one ulp.
+HARDCORE_WIDE_CSV = (
+    "ratio,infidelity\n"
+    "0.5,0.315608933542\n"
+    "1,0.200084265277\n"
+    "3,0.0901945461964\n"
+    "10,0.00671459911148\n"
+    "100,6.17453821101e-05\n"
+    "1000,6.16856317026e-07\n"
+    "10000,6.16850392987e-09\n"
+)
 RESERVOIR_CSV = (
     "nbar,deviation\n"
     "4,0.120818586271\n"
@@ -360,6 +378,11 @@ class TestSectorPropagator:
         assert main([command, "--out", str(out)]) == 0
         assert out.read_bytes() == golden.encode()
 
+    def test_wide_ratio_csv_bytes(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        assert main(["hardcore", "--ratios", "0.5,1,3,10,100,1000,10000", "--out", str(out)]) == 0
+        assert out.read_bytes() == HARDCORE_WIDE_CSV.encode()
+
 
 class TestHardcoreScan:
     def test_free_evolution_has_large_infidelity(self):
@@ -419,6 +442,121 @@ class TestHardcoreScan:
             hardcore_limit_scan([-1.0, 1.0])
         with pytest.raises(ValueError, match="ascending"):
             hardcore_limit_scan([10.0, 1.0])
+
+    def test_ratio_bound_is_where_the_pulse_phase_overflows(self):
+        # The top energy 4 U/J at |2,2> times t = pi/2 reaches the float limit.
+        assert MAX_SWAP_RATIO * 4.0 * (np.pi / 2.0) <= sys.float_info.max
+        assert math.nextafter(MAX_SWAP_RATIO, math.inf) * 4.0 * (np.pi / 2.0) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ratio in (1e307, MAX_SWAP_RATIO, -MAX_SWAP_RATIO):
+                assert 0.0 <= 1.0 - swap_process_fidelity(ratio) < 1e-15
+
+    @pytest.mark.parametrize("ratio", [3e307, 1e308, -1e308])
+    def test_ratio_past_bound_names_the_ratio(self, ratio):
+        with pytest.raises(ValueError, match=re.escape(f"U/J {ratio!r} is not finite or past")):
+            swap_process_fidelity(ratio)
+        with pytest.raises(ValueError, match="overflow"):
+            hardcore_limit_scan([1.0, abs(ratio)])
+
+
+def one_point_phase_search(
+    w: complex, x: complex, y: complex, z: complex
+) -> float:
+    """max over phases a, b of |w + x e^{ia} + y e^{ib} + z e^{i(a+b)}|.
+
+    For fixed a the optimal b aligns (y + z e^{ia}) with (w + x e^{ia}), so
+    the objective reduces to |w + x e^{ia}| + |y + z e^{ia}|; that is scanned
+    densely and refined by ternary search.
+    """
+
+    def value(a: np.ndarray) -> np.ndarray:
+        phase = np.exp(1j * a)
+        return np.abs(w + x * phase) + np.abs(y + z * phase)
+
+    grid = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    values = value(grid)
+    i = int(np.argmax(values))
+    lo = grid[i] - 2.0 * np.pi / 720
+    hi = grid[i] + 2.0 * np.pi / 720
+    while hi - lo > 1e-12:
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if value(np.array(m1)) < value(np.array(m2)):
+            lo = m1
+        else:
+            hi = m2
+    return float(value(np.array(0.5 * (lo + hi))))
+
+
+def _amplitude(kind, magnitude, angle):
+    if kind == "zero":
+        return 0j
+    return complex(np.complex128(magnitude * np.exp(1j * angle)))
+
+
+_AMPLITUDE = st.builds(
+    _amplitude,
+    st.sampled_from(["zero", "free"]),
+    st.floats(0.0, 2.0),
+    st.floats(-4.0, 4.0),
+)
+
+
+@st.composite
+def phase_points(draw):
+    """(w, x, y, z) with zeros, equal magnitudes or a flat objective mixed in."""
+    w, x, y, z = draw(st.tuples(_AMPLITUDE, _AMPLITUDE, _AMPLITUDE, _AMPLITUDE))
+    shape = draw(st.sampled_from(["free", "flat", "equal"]))
+    if shape == "flat":  # x = z = 0: every phase gives the same value
+        x = z = 0j
+    elif shape == "equal":  # |w| = |x| = |y| = |z|, phases drawn
+        angles = draw(st.tuples(*[st.floats(-4.0, 4.0)] * 4))
+        w, x, y, z = (_amplitude("free", abs(w) or 0.5, a) for a in angles)
+    return w, x, y, z
+
+
+class TestPhaseSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(points=st.lists(phase_points(), min_size=1, max_size=6))
+    @example(points=[(1j, 0j, -1.0, 0j)])
+    @example(points=[(0j, 0j, 0j, 0j), (1.0, 1.0, 1.0, -1.0)])
+    @example(points=[(0.5, -0.5j, 0.5, 0.5j)] * 3)
+    def test_lockstep_search_equals_one_point_search_bit_for_bit(self, points):
+        batched = hamiltonian._max_abs_over_local_phases(points)
+        oracle = [one_point_phase_search(*map(np.complex128, p)) for p in points]
+        assert [v.hex() for v in batched] == [v.hex() for v in oracle]
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, 3.0, 10.0, 100.0, 1e3, 1e4, 1e5])
+    def test_pulse_amplitudes_give_one_point_search_bits(self, ratio):
+        pulse = shared_swap_pulse(ratio)
+        amps = []
+        for occ_in, (occ_out, sign) in hamiltonian._SWAP_TARGETS.items():
+            evolved = fock.embed_and_apply(basis_state(hamiltonian._SWAP_REGISTER, occ_in), pulse)
+            amps.append(sign * evolved.data[hamiltonian._SWAP_REGISTER.index_of(occ_out)])
+        fidelity = (one_point_phase_search(*amps) / 4.0) ** 2
+        assert swap_process_fidelity(ratio).hex() == fidelity.hex()
+        ((_, infidelity),) = hardcore_limit_scan([ratio])
+        assert (1 - swap_process_fidelity(ratio)).hex() == infidelity.hex()
+
+    def test_scan_equals_one_point_fidelities(self):
+        ratios = [0.5, 1.0, 3.0, 10.0, 100.0, 1e3, 1e4]
+        scan = hardcore_limit_scan(ratios)
+        assert [v.hex() for _, v in scan] == [(1 - swap_process_fidelity(r)).hex() for r in ratios]
+
+    def test_memory_does_not_grow_with_points(self):
+        rng = np.random.default_rng(4)
+        points = (rng.standard_normal((4096, 4)) + 1j * rng.standard_normal((4096, 4))).tolist()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            values = hamiltonian._max_abs_over_local_phases(points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(values) == 4096
+        # A 4096 x 720 complex grid alone would take 47 MB.
+        assert peak < 8_000_000
 
 
 class TestReservoirScan:
