@@ -528,12 +528,15 @@ class TestPhaseSearch:
         assert [v.hex() for v in batched] == [v.hex() for v in oracle]
 
     @pytest.mark.parametrize("ratio", [0.5, 1.0, 3.0, 10.0, 100.0, 1e3, 1e4, 1e5])
-    def test_pulse_amplitudes_give_one_point_search_bits(self, ratio):
+    def test_amplitudes_read_from_blocks_give_one_point_search_bits(self, ratio):
         pulse = shared_swap_pulse(ratio)
         amps = []
         for occ_in, (occ_out, sign) in hamiltonian._SWAP_TARGETS.items():
             evolved = fock.embed_and_apply(basis_state(hamiltonian._SWAP_REGISTER, occ_in), pulse)
             amps.append(sign * evolved.data[hamiltonian._SWAP_REGISTER.index_of(occ_out)])
+        read = [sign * pulse.blocks[b][s, row, col] for b, s, row, col, sign in hamiltonian._SWAP_ENTRIES]
+        hexes = [[(v.real.hex(), v.imag.hex()) for v in vs] for vs in (amps, read)]
+        assert hexes[0] == hexes[1]  # signed zeros included
         fidelity = (one_point_phase_search(*amps) / 4.0) ** 2
         assert swap_process_fidelity(ratio).hex() == fidelity.hex()
         ((_, infidelity),) = hardcore_limit_scan([ratio])
