@@ -448,7 +448,8 @@ class LinearOperator:
     two are verified at construction.  A number-conserving operator may be
     given as ``blocks``, one ``(count, size, size)`` stack per table of
     ``register.sectors`` and no grids; its kind is verified block by block and
-    ``matrix`` is then a dense view, built anew on each request.
+    ``matrix`` is then a dense view, built anew on each request, for
+    inspection and tests: no apply path builds it.
     """
 
     KINDS = ("unitary", "hermitian", "general")
@@ -589,8 +590,6 @@ def _modes_last(register: ModeRegister, sub: ModeRegister) -> list[int]:
                 f"{register.dims[p]} in the state register"
             )
         positions.append(p)
-    if len(set(positions)) != len(positions):
-        raise ValueError("operator register repeats a mode")
     return [p for p in range(register.n_modes) if p not in positions] + positions
 
 
@@ -632,36 +631,51 @@ def _apply_blocks(op: LinearOperator, data: np.ndarray, conj: bool = False) -> n
     return out
 
 
-def _apply_pure(state: QuantumState, op: LinearOperator, grids) -> np.ndarray:
-    """Dense ``op`` on its own modes of a pure state, over the merged grids ``grids``.
+def _contract(
+    op: LinearOperator,
+    data: np.ndarray,
+    register: ModeRegister,
+    own: Sequence[str],
+    symbols: tuple[str, ...],
+    conj: bool = False,
+) -> np.ndarray:
+    """``op``, or its conjugate, on its own modes of the last basis axis of ``data``.
 
-    One copy orders the state as (operator grid axes, operator modes,
-    untouched modes, other grid axes), with all after the contracted axis
-    merged into ``R``; a second copy writes the result back into the input's
-    memory layout, C order once a grid is added.  Later grid means sum in an
-    order that depends on that layout.
+    ``data`` has one leading grid axis per symbol of ``own``, maybe another
+    basis axis, and the contracted one last; the result has one grid axis per
+    symbol of the merged set ``symbols``.  Sector blocks run on the
+    operator's modes moved last, copied only if they are not last already.  A
+    dense operator orders one copy as (operator grid axes, operator modes,
+    all other axes merged into one long axis ``R``), so einsum's inner loop
+    runs over ``R``, and a second copy writes the result back into the
+    input's memory layout, C order once a grid is added.  Later grid means
+    sum in an order that depends on that layout.
     """
-    register = state.register
     order = _modes_last(register, op.register)
+    if op.blocks is not None:
+        moved = order != sorted(order)
+        x = _permute_modes(data, register.dims, order, 1) if moved else data
+        out = _apply_blocks(op, x.reshape(x.shape[:-1] + (-1, op.register.dim)), conj)
+        out = out.reshape(data.shape)
+        if moved:
+            out = _permute_modes(out, [register.dims[p] for p in order], np.argsort(order), 1)
+        return out
     n_rest = register.n_modes - op.register.n_modes
-    symbols = tuple(g.symbol for g in grids)
-    n_grid = len(symbols)
-    data = _expand_axes(state.data, state.phase_symbols, symbols)
-    data = data.reshape(data.shape[:n_grid] + register.dims)
+    split = _expand_axes(data.reshape(data.shape[:-1] + register.dims), own, symbols)
+    n_lead = split.ndim - register.n_modes
     op_axes = [symbols.index(s) for s in op.phase_symbols]
     axes = [
         *op_axes,
-        *(n_grid + p for p in order[n_rest:] + order[:n_rest]),
-        *(a for a in range(n_grid) if a not in op_axes),
+        *(n_lead + p for p in order[n_rest:] + order[:n_rest]),
+        *(a for a in range(n_lead) if a not in op_axes),
     ]
-    split = data.transpose(axes)
+    split = split.transpose(axes)
     x = split.reshape(split.shape[: len(op_axes)] + (op.register.dim, -1))
-    out = np.einsum("...ij,...jR->...iR", op.matrix, x)
-    out = out.reshape(out.shape[: len(op_axes)] + split.shape[len(op_axes) :])
-    shape = tuple(g.n_points for g in grids) + (register.dim,)
-    result = np.empty_like(state.data, shape=shape)
+    out = np.einsum("...ij,...jR->...iR", op.matrix.conj() if conj else op.matrix, x)
+    out = out.reshape(out.shape[:-2] + split.shape[len(op_axes) :]).transpose(np.argsort(axes))
+    result = np.empty_like(data, shape=out.shape[:n_lead] + (register.dim,))
     # Splitting the basis axis into modes is a view of ``result``, whatever its layout.
-    result.reshape(shape[:-1] + register.dims)[...] = out.transpose(np.argsort(axes))
+    result.reshape(out.shape)[...] = out
     return result
 
 
@@ -670,44 +684,26 @@ def embed_and_apply(
 ) -> QuantumState:
     """Apply an operator to its own modes, as the identity on the others.
 
-    Only the operator's modes are contracted with its matrix; a
-    full-register operator is the case with no other modes.  Phase-grid axes
-    are aligned by symbol and applied pointwise.  A dense operator on a pure
-    state has one layout (see ``_apply_pure``): einsum's inner loop runs over
-    the untouched modes and the other grid points merged into one long axis,
-    not over the 2- or 4-long contracted axis.  Each amplitude is still one
-    sum over the operator's input index, in the same order, so the layout
-    moves no bits.  A density matrix has the operator's modes moved last on
-    both sides and is contracted as U rho U^+ in one einsum, and a
-    sector-block operator on the state's own register is applied sector by
-    sector.  With ``renormalize`` the result is rescaled to unit norm per
-    grid point, which is how norm loss from non-unitary operators (truncated
-    creation, for instance) is absorbed explicitly; without it, a
-    non-norm-preserving result fails state validation.
+    Every operator goes through ``_contract``, which contracts only its modes;
+    a full-register operator is the case with no other modes.  Phase-grid
+    axes are aligned by symbol and applied pointwise.  A sector-block
+    operator is applied sector by sector, on any of the state's modes, and its
+    dense view is never built.  A density matrix gets the operator on its ket
+    axis, then the conjugate on its bra axis: U rho U^+.  With
+    ``renormalize`` the result is rescaled to unit norm per grid point, which
+    is how norm loss from non-unitary operators (truncated creation, for
+    instance) is absorbed explicitly; without it, a non-norm-preserving
+    result fails state validation.
     """
     register = state.register
     grids, orders = _merge_grids(
         state.grids, state.fourier_order, op.grids, op.fourier_order
     )
-    if op.blocks is not None and op.register == register:
-        if state.is_pure:
-            out = _apply_blocks(op, state.data)
-        else:
-            left = _apply_blocks(op, np.swapaxes(state.data, -1, -2))
-            out = _apply_blocks(op, np.swapaxes(left, -1, -2), conj=True)
-    elif state.is_pure:
-        out = _apply_pure(state, op, grids)
-    else:
-        order = _modes_last(register, op.register)
-        symbols = tuple(g.symbol for g in grids)
-        mat = _expand_axes(op.matrix, op.phase_symbols, symbols)
-        data = _expand_axes(state.data, state.phase_symbols, symbols)
-        data = _permute_modes(data, register.dims, order, 2)
-        d_sub = op.register.dim
-        data = data.reshape(data.shape[: len(symbols)] + (register.dim // d_sub, d_sub) * 2)
-        out = np.einsum("...ij,...rjsk,...lk->...risl", mat, data, mat.conj())
-        out = out.reshape(out.shape[: len(symbols)] + (register.dim,) * 2)
-        out = _permute_modes(out, [register.dims[p] for p in order], np.argsort(order), 2)
+    symbols = tuple(g.symbol for g in grids)
+    data = state.data if state.is_pure else np.swapaxes(state.data, -1, -2)
+    out = _contract(op, data, register, state.phase_symbols, symbols)
+    if not state.is_pure:
+        out = _contract(op, np.swapaxes(out, -1, -2), register, symbols, symbols, conj=True)
     if renormalize:
         if state.is_pure:
             norm = np.sqrt(np.sum(np.abs(out) ** 2, axis=-1, keepdims=True))

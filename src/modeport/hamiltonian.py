@@ -46,6 +46,7 @@ from .fock import (
     ModeRegister,
     QuantumState,
     _max_offsector_entry,
+    _modes_last,
     _require_unitary,
     basis_state,
     build_register,
@@ -184,12 +185,11 @@ def propagator(hamiltonian: LinearOperator, t: float) -> LinearOperator:
 
 
 def evolve(state: QuantumState, hamiltonian: LinearOperator, t: float) -> QuantumState:
-    """exp(-i H t) applied to the state."""
-    if hamiltonian.register != state.register:
-        raise ValueError("Hamiltonian register does not match the state register")
+    """exp(-i H t) on H's modes, which the state must hold, in any order, at any place."""
     if t == 0.0:
-        # Still reject a non-Hermitian or number-changing generator.
+        # Still reject a non-Hermitian or number-changing generator or a foreign mode.
         propagator(hamiltonian, t)
+        _modes_last(state.register, hamiltonian.register)
         return state
     return embed_and_apply(state, propagator(hamiltonian, t))
 

@@ -187,6 +187,28 @@ class TestEvolve:
         assert abs(np.linalg.norm(stepped.data) - 1.0) < 1e-12
         np.testing.assert_allclose(stepped.data, direct.data, atol=1e-10)
 
+    def test_hamiltonian_on_some_modes_matches_full_register_build(self):
+        rng = np.random.default_rng(16)
+        spec = ReservoirSpec("res", 4.0, cutoff=24)
+        params = HamiltonianParams(
+            u={"res": 0.3}, e={"probe": 0.7, "res": -0.2}, omega={"probe": 1.1}, reservoir=spec
+        )
+        sub = build_register([("probe", 2), ("res", 24)])
+        reg = build_register([("a", 2), ("probe", 2), ("res", 24)])
+        vec = rng.standard_normal(reg.dim) + 1j * rng.standard_normal(reg.dim)
+        pure = QuantumState(reg, vec / np.linalg.norm(vec))
+        for state in (pure, pure.to_density()):
+            got = evolve(state, build_hamiltonian(sub, params), 0.83)
+            want = evolve(state, build_hamiltonian(reg, params), 0.83)
+            np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_hamiltonian_on_a_mode_the_state_lacks_rejected(self, t):
+        h = build_hamiltonian(build_register([("A", 2), ("B", 2)]), HamiltonianParams(j_ab=1.0))
+        state = basis_state(build_register([("A", 2), ("C", 2)]), (1, 0))
+        with pytest.raises(ValueError, match="unknown mode label 'B'"):
+            evolve(state, h, t)
+
     def test_non_hermitian_rejected(self):
         reg = build_register([("m", 2)])
         bad = LinearOperator(reg, np.array([[0.0, 1.0], [0.0, 0.0]]))

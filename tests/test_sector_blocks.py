@@ -133,28 +133,35 @@ def random_conserving(rng, reg):
 @settings(max_examples=60, deadline=None)
 @given(
     dims=st.lists(st.integers(2, 4), min_size=1, max_size=3),
+    n_idle=st.integers(0, 2),
+    data=st.data(),
     seed=st.integers(0, 2**32 - 1),
     t=st.floats(-4.0, 4.0, allow_nan=False),
 )
-def test_block_and_dense_propagators_agree(dims, seed, t):
+def test_block_and_dense_propagators_agree(dims, n_idle, data, seed, t):
     rng = np.random.default_rng(seed)
-    reg = build_register([(f"m{i}", d) for i, d in enumerate(dims)])
-    h = random_conserving(rng, reg)
+    sub = build_register([(f"m{i}", d) for i, d in enumerate(dims)])
+    h = random_conserving(rng, sub)
     w, v = np.linalg.eigh(h)
     dense = (v * np.exp(-1j * w * t)) @ v.conj().T
-    from_dense = propagator(LinearOperator(reg, h, kind="hermitian"), t)
+    from_dense = propagator(LinearOperator(sub, h, kind="hermitian"), t)
     from_blocks = propagator(
-        LinearOperator(reg, blocks=gathered_blocks(reg, h), kind="hermitian"), t
+        LinearOperator(sub, blocks=gathered_blocks(sub, h), kind="hermitian"), t
     )
     for u in (from_dense, from_blocks):
         assert u.blocks is not None
         np.testing.assert_allclose(u.matrix, dense, rtol=0, atol=1e-12)
-    # Applied sector by sector, to a pure state and to a density matrix.
-    unitary = LinearOperator(reg, from_blocks.matrix, kind="unitary")
+    # Applied sector by sector, to a pure state and to a density matrix, on a
+    # register with 0-2 idle qubit modes at drawn places and the operator's
+    # modes in any order.
+    modes = data.draw(st.permutations(sub.modes + tuple((f"q{i}", 2) for i in range(n_idle))))
+    reg = build_register(modes)
+    unitary = LinearOperator(sub, from_blocks.matrix, kind="unitary")
     psi = rng.standard_normal(reg.dim) + 1j * rng.standard_normal(reg.dim)
+    z = rng.standard_normal((reg.dim, 3)) + 1j * rng.standard_normal((reg.dim, 3))
+    rho = z @ z.conj().T
     pure = QuantumState(reg, psi / np.linalg.norm(psi))
-    mixed = QuantumState(reg, np.diag(rng.dirichlet(np.ones(reg.dim))) + 0j)
-    mixed = embed_and_apply(mixed, unitary)  # a dense, non-diagonal density matrix
+    mixed = QuantumState(reg, rho / np.trace(rho).real)
     for state in (pure, mixed):
         got = embed_and_apply(state, from_blocks)
         want = embed_and_apply(state, unitary)
@@ -179,3 +186,20 @@ class TestNoDenseAllocation:
         assert h.blocks is not None and u.blocks is not None
         assert abs(np.linalg.norm(out.data) - 1.0) < 1e-12
         assert peak < dense_bytes / 20
+
+    def test_pulse_on_some_modes_stays_below_dim_squared(self):
+        sub = build_register([("probe", 2), ("res", 1000)])
+        reg = build_register([("a", 2), ("probe", 2), ("res", 1000)])
+        spec = ReservoirSpec("res", 700.0, cutoff=1000)
+        params = HamiltonianParams(omega={"probe": -1.0}, e={"res": 0.1}, reservoir=spec)
+        pulse = propagator(build_hamiltonian(sub, params), 0.3)
+        state = basis_state(reg, (1, 1, 500))
+        tracemalloc.start()
+        try:
+            out = embed_and_apply(state, pulse)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The idle mode a stays in |1>.
+        assert abs(np.linalg.norm(out.data[reg.occupations[:, 0] == 1]) - 1.0) < 1e-12
+        assert peak < 16 * reg.dim**2 / 20
