@@ -325,18 +325,6 @@ class QuantumState:
     def grid_shape(self) -> tuple[int, ...]:
         return tuple(g.n_points for g in self.grids)
 
-    def grid_for(self, symbol: str) -> PhaseGrid:
-        for grid in self.grids:
-            if grid.symbol == symbol:
-                return grid
-        raise ValueError(f"state does not carry phase symbol {symbol!r}")
-
-    def fourier_for(self, symbol: str) -> int:
-        for grid, order in zip(self.grids, self.fourier_order):
-            if grid.symbol == symbol:
-                return order
-        raise ValueError(f"state does not carry phase symbol {symbol!r}")
-
     # -- representations ---------------------------------------------------
 
     def density_data(self) -> np.ndarray:
@@ -753,27 +741,56 @@ def partial_trace(state: QuantumState, keep: Sequence[str]) -> QuantumState:
     )
 
 
-def phase_average(state: QuantumState, probability: np.ndarray) -> QuantumState:
-    """Conditional density matrix of the phase-averaged ensemble.
+def phase_average(
+    state: QuantumState,
+    probability: np.ndarray | None = None,
+    symbols: Sequence[str] | None = None,
+) -> QuantumState:
+    """Density matrix averaged uniformly over unknown reservoir phases: the twirl.
 
-    ``state`` is a conditional state, normalized per grid point, and
-    ``probability`` the per-point probability of its branch.  The result is
-    the probability-weighted average of the per-point density matrices,
-    renormalized by the average probability, which is the correct
-    conditional state once the phases are unknown; the weighted matrix is a
-    block of the pre-measurement density matrix, so the grid average is
-    exact.  The grid mean sums in an order set by the state's memory layout,
-    not only its values, so a rewrite that re-lays out the data moves bits.
+    ``symbols`` names the grids to average, by default all; the others are
+    kept.  Each averaged grid must resolve the state's Fourier order along
+    it, so the average is exact; a coarser grid, or a symbol the state does
+    not carry, raises.
+
+    With ``probability``, the per-point probability of the branch whose
+    conditional ``state`` is normalized per point, every grid is averaged
+    and the result is the probability-weighted mean renormalized by the mean
+    probability: the conditional state once the phases are unknown.  The
+    weighted matrix is a block of the pre-measurement density matrix, so
+    this average is exact too.
+
+    The mean is one call over all averaged axes.  It sums in an order set by
+    the state's memory layout, not only its values, so re-laying out the
+    data or averaging one axis at a time moves bits.
     """
+    symbols = state.phase_symbols if symbols is None else tuple(symbols)
+    for symbol in symbols:
+        if symbol not in state.phase_symbols:
+            raise ValueError(f"state does not carry phase symbol {symbol!r}")
     if not state.grids:
         return state.to_density()
-    _require_exact_average(state.grids, state.fourier_order)
-    weighted = probability[..., None, None] * state.density_data()
-    mean_p = float(np.mean(probability))
-    if mean_p < PROB_FLOOR:
-        raise ValueError("outcome has vanishing phase-averaged probability")
-    avg = weighted.mean(axis=tuple(range(len(state.grids)))) / mean_p
-    return QuantumState(state.register, avg)
+    axes = tuple(state.phase_symbols.index(s) for s in symbols)
+    kept = [i for i in range(len(state.grids)) if i not in axes]
+    _require_exact_average(
+        [state.grids[i] for i in axes], [state.fourier_order[i] for i in axes]
+    )
+    rho = state.density_data()
+    if probability is None:
+        avg = rho.mean(axis=axes)
+    else:
+        if kept:
+            raise ValueError("a branch probability is averaged over every phase grid")
+        mean_p = float(np.mean(probability))
+        if mean_p < PROB_FLOOR:
+            raise ValueError("outcome has vanishing phase-averaged probability")
+        avg = (probability[..., None, None] * rho).mean(axis=axes) / mean_p
+    return QuantumState(
+        state.register,
+        avg,
+        grids=[state.grids[i] for i in kept],
+        fourier_order=[state.fourier_order[i] for i in kept],
+    )
 
 
 class MeasurementOutcome:

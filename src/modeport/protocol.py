@@ -141,7 +141,9 @@ def unknown_state_target(
     theta = grid.points
     data = np.empty((grid.n_points, 2), dtype=np.complex128)
     data[:, 0] = spec.alpha
-    data[:, 1] = spec.beta * np.exp(1j * (theta + spec.phi))
+    # Two factors, as the circuit applies them: at large |phi| the sum theta + phi
+    # would round the grid phase away.
+    data[:, 1] = spec.beta * np.exp(1j * theta) * np.exp(1j * spec.phi)
     return QuantumState(register, data, grids=(grid,), fourier_order=(1,))
 
 

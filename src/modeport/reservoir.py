@@ -4,9 +4,10 @@ A large condensate acts as a phase reference that lets single-mode
 operations rotate a mode between occupation eigenstates.  Ignorance of the
 condensate phase is modeled by twirling: the uniform average of the state
 over the phase, which removes all coherences between different total
-particle numbers.  The phase dependence lives on :class:`PhaseGrid` points
-(see :mod:`modeport.fock`), so the twirl is an exact integral whenever the
-grid satisfies the tracked Fourier-order bound.
+particle numbers.  The phase dependence lives on :class:`PhaseGrid` points,
+so the twirl is an exact integral whenever the grid satisfies the tracked
+Fourier-order bound.  The twirl is :func:`modeport.fock.phase_average`;
+``twirl_state`` and ``twirl_all`` name its one-symbol and all-symbol uses.
 
 A reservoir whose state is not represented is just such a phase symbol.  A
 resolved reservoir, a mode holding a truncated coherent state, is a
@@ -21,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (
-    ModeRegister,
-    QuantumState,
-    _max_offsector_entry,
-    _require_exact_average,
-)
+from .fock import ModeRegister, QuantumState, _max_offsector_entry, phase_average
 
 SSR_ATOL = 1e-12
 
@@ -63,34 +59,13 @@ class ReservoirSpec:
 
 
 def twirl_state(state: QuantumState, symbol: str) -> QuantumState:
-    """Uniform average of the state over one reservoir phase.
-
-    Returns a density matrix without the named symbol.  The average is exact
-    (not approximate) provided the grid resolves the state's recorded
-    Fourier order, which is checked; a coarser grid raises.  The grid mean
-    sums in an order set by the state's memory layout, not only its values,
-    so a rewrite that re-lays out the data moves bits.
-    """
-    grid = state.grid_for(symbol)
-    order = state.fourier_for(symbol)
-    _require_exact_average([grid], [order])
-    axis = state.phase_symbols.index(symbol)
-    avg = state.density_data().mean(axis=axis)
-    remaining = [(g, f) for g, f in zip(state.grids, state.fourier_order) if g.symbol != symbol]
-    return QuantumState(
-        state.register,
-        avg,
-        grids=[g for g, _ in remaining],
-        fourier_order=[f for _, f in remaining],
-    )
+    """Average the state over one reservoir phase (see :func:`phase_average`)."""
+    return phase_average(state, symbols=[symbol])
 
 
 def twirl_all(state: QuantumState) -> QuantumState:
-    """Twirl over every phase symbol the state carries."""
-    out = state
-    for symbol in state.phase_symbols:
-        out = twirl_state(out, symbol)
-    return out.to_density()
+    """Average the state over every phase symbol it carries."""
+    return phase_average(state)
 
 
 @dataclass(frozen=True)

@@ -293,6 +293,18 @@ class TestExecution:
             assert 0.0 <= o["probability"] <= 1.0
             assert 0.0 <= o["fidelity_min"] <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("config", [[], ["--shared-reservoir"]], ids=["distinct", "shared"])
+    def test_teleport_large_phi(self, tmp_path, capsys, config):
+        # At |phi| = 1e13 a target formed from exp(i (theta + phi)) loses the
+        # grid phase theta to rounding and reads a spurious criterion-2 failure.
+        out = tmp_path / "teleport.json"
+        assert main(["teleport", "--phi", "1e13", *config, "--out", str(out)]) == 0, (
+            capsys.readouterr().err
+        )
+        success = [o for o in json.loads(out.read_text())["outcomes"]
+                   if o["classification"] != "failure"]
+        assert min(o["fidelity_min"] for o in success) >= 1.0 - 1e-12
+
     def test_sweep_deterministic_bytes(self, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"

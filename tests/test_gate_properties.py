@@ -24,7 +24,7 @@ from modeport.fock import (
     phase_average,
 )
 from modeport.gates import fermionic_swap_gate, hopping_gate, number_rotation_gate, phase_gate
-from modeport.reservoir import ssr_compliance_check, twirl_state
+from modeport.reservoir import ssr_compliance_check, twirl_all, twirl_state
 from test_fock import naive_embedding
 
 # Not in sorted order, so the state's grid axes (sorted by symbol) differ from draw order.
@@ -255,6 +255,11 @@ def test_twirl_is_the_zero_fourier_mode(circuit):
         zero_mode = np.take(spectrum, 0, axis=axis) / grid.n_points
         twirled = twirl_state(state, grid.symbol)
         np.testing.assert_allclose(twirled.data, zero_mode, rtol=0, atol=1e-12)
+    # One mean over every grid equals twirling the grids one at a time.
+    one_at_a_time = state
+    for symbol in state.phase_symbols:
+        one_at_a_time = twirl_state(one_at_a_time, symbol)
+    np.testing.assert_allclose(twirl_all(state).data, one_at_a_time.data, rtol=0, atol=1e-15)
 
 
 @st.composite

@@ -110,7 +110,7 @@ class TestNumberRotation:
             state = embed_and_apply(
                 state, number_rotation_gate(pair, "A", np.pi / 4, grid)
             )
-        assert state.fourier_for("alice") == 3
+        assert state.fourier_order[state.phase_symbols.index("alice")] == 3
 
 
 class TestFermionicSwap:

@@ -10,6 +10,7 @@ from modeport.fock import (
     build_register,
     from_amplitudes,
     ladder_operator,
+    phase_average,
 )
 from modeport.reservoir import (
     ReservoirSpec,
@@ -69,11 +70,45 @@ class TestTwirl:
         with pytest.raises(ValueError, match="symbol"):
             twirl_state(basis_state(reg, (0,)), "theta")
 
+    def test_symbol_absent_from_a_gridded_state(self):
+        state = phase_superposition(PhaseGrid("phi", 16))
+        with pytest.raises(ValueError, match="symbol 'theta'"):
+            twirl_state(state, "theta")
+        with pytest.raises(ValueError, match="symbol 'theta'"):
+            phase_average(state, symbols=["phi", "theta"])
+
     def test_grid_too_coarse(self):
         grid = PhaseGrid("theta", 4)
         state = phase_superposition(grid, relative_order=2)
         with pytest.raises(ValueError, match="Fourier order"):
             twirl_state(state, "theta")
+
+    def test_only_averaged_grids_are_checked(self):
+        # The kept "charlie" grid is too coarse for its Fourier order 2.
+        coarse = PhaseGrid("charlie", 4)
+        state = QuantumState(
+            build_register([("m", 2)]),
+            np.broadcast_to(phase_superposition(coarse, relative_order=2).data, (16, 4, 2)),
+            grids=(PhaseGrid("alice", 16), coarse),
+            fourier_order=(0, 2),
+        )
+        out = twirl_state(state, "alice")
+        assert out.phase_symbols == ("charlie",)
+        assert out.fourier_order == (2,)
+        np.testing.assert_allclose(out.data, state.density_data()[0], rtol=0, atol=1e-15)
+        with pytest.raises(ValueError, match="Fourier order"):
+            twirl_state(state, "charlie")
+
+    def test_branch_probability_needs_every_grid(self):
+        grids = (PhaseGrid("alice", 16), PhaseGrid("charlie", 16))
+        state = QuantumState(
+            build_register([("m", 2)]),
+            np.broadcast_to([1.0, 0.0], (16, 16, 2)),
+            grids=grids,
+            fourier_order=(0, 0),
+        )
+        with pytest.raises(ValueError, match="every phase grid"):
+            phase_average(state, np.full((16, 16), 0.5), symbols=["alice"])
 
     def test_idempotent(self):
         grid = PhaseGrid("theta", 16)
@@ -125,6 +160,8 @@ class TestTwirl:
         out = twirl_all(state)
         assert out.phase_symbols == ()
         np.testing.assert_allclose(out.data, np.eye(2) / 2.0, atol=1e-15)
+        one_at_a_time = twirl_state(twirl_state(state, "alice"), "charlie")
+        np.testing.assert_allclose(out.data, one_at_a_time.data, rtol=0, atol=1e-15)
 
 
 class TestSsr:
