@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -134,6 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, names in COMMAND_FIELDS.items():
         p = sub.add_parser(command)
+        # argparse's own pattern has no exponent, so "--phi -1e3" would read -1e3 as a flag.
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
         p.add_argument("--config", default=None, help="flat key = value file")
         for name in names:
             flag, cast = FIELDS[name]

@@ -341,6 +341,7 @@ class QuantumState:
             self.density_data(),
             grids=self.grids,
             fourier_order=self.fourier_order,
+            # Unchecked: a norm NORM_ATOL off 1 is a trace 2 NORM_ATOL off, past TRACE_ATOL.
             validate=False,
         )
 
@@ -449,7 +450,6 @@ class LinearOperator:
         kind: str = "general",
         grids: Sequence[PhaseGrid] = (),
         fourier_order: Sequence[int] = (),
-        validate: bool = True,
         blocks: Sequence[np.ndarray] | None = None,
     ):
         if kind not in self.KINDS:
@@ -471,8 +471,7 @@ class LinearOperator:
                 raise ValueError(f"operator matrix has shape {matrix.shape}, expected {expected}")
         self._matrix = matrix
         self.blocks = blocks
-        if validate:
-            self._validate()
+        self._validate()
 
     @property
     def matrix(self) -> np.ndarray:

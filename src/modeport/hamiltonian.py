@@ -1,12 +1,13 @@
 """Bose-Hubbard-style Hamiltonians on a mode register and exact evolution.
 
-The Hamiltonian couples nearest modes by tunneling, adds on-site repulsion
-U_i n_i (n_i - 1) and bias energies E_i n_i, and optionally exchanges
-particles between each mode and a resolved reservoir mode:
+The Hamiltonian is one sum of hops between mode pairs plus on-site repulsion
+U_i n_i (n_i - 1) and bias energies E_i n_i:
 
-    H = -j_ab/2 (a_A^+ a_B + h.c.) - j_aa/2 (a_a^+ a_A + h.c.)
+    H = -sum_(l,r) J_lr/2 (a_l^+ a_r + h.c.)
         + sum_i U_i n_i (n_i - 1) + sum_i E_i n_i
-        - sum_i omega_i/2 (a_i^+ a_res + a_res^+ a_i)
+
+A hop is the paper's tunneling swap between two modes and, with r a resolved
+reservoir mode, its reservoir-assisted rotation alike.
 
 Units use hbar = 1 throughout; times are meaningful only as products with
 the named couplings.  Hamiltonians and propagators are held as one block per
@@ -46,8 +47,6 @@ from .fock import (
     ModeRegister,
     QuantumState,
     _max_offsector_entry,
-    _modes_last,
-    _require_unitary,
     basis_state,
     build_register,
     embed_and_apply,
@@ -63,32 +62,25 @@ from .reservoir import ReservoirSpec, coherent_state
 class HamiltonianParams:
     """Couplings for :func:`build_hamiltonian`.
 
-    ``j_ab`` and ``j_aa`` are the tunneling energies between modes A/B and
-    a/A respectively (modes a and B never share a tunneling term).  ``u``,
-    ``e`` and ``omega`` map mode labels to on-site interaction, bias energy
-    and reservoir exchange coupling; ``omega`` requires ``reservoir`` to
-    name the resolved reservoir mode, which it may not couple to itself.
+    ``hops`` maps a pair of distinct mode labels (left, right) to the energy
+    J of the hop -J/2 (a_left^+ a_right + h.c.); ``u`` and ``e`` map mode
+    labels to on-site interaction and bias energy.  Every value must be finite.
     """
 
-    j_ab: float = 0.0
-    j_aa: float = 0.0
+    hops: Mapping[tuple[str, str], float] = field(default_factory=dict)
     u: Mapping[str, float] = field(default_factory=dict)
     e: Mapping[str, float] = field(default_factory=dict)
-    omega: Mapping[str, float] = field(default_factory=dict)
-    reservoir: ReservoirSpec | None = None
 
     def __post_init__(self):
-        for name, value in (("j_ab", self.j_ab), ("j_aa", self.j_aa)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-        for name, table in (("u", self.u), ("e", self.e), ("omega", self.omega)):
-            for label, value in table.items():
+        for name, table in (("hops", self.hops), ("u", self.u), ("e", self.e)):
+            for key, value in table.items():
                 if not math.isfinite(value):
-                    raise ValueError(f"{name}[{label!r}] must be finite")
-        if self.omega and self.reservoir is None:
-            raise ValueError("omega couplings need a reservoir")
-        if self.reservoir is not None and self.reservoir.label in self.omega:
-            raise ValueError("omega cannot couple the reservoir mode to itself")
+                    raise ValueError(f"{name}[{key!r}] must be finite")
+        for key in self.hops:
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise ValueError(f"hop key {key!r} must be a tuple of two mode labels")
+            if key[0] == key[1]:
+                raise ValueError(f"hop {key!r} cannot couple a mode to itself")
 
 
 def build_hamiltonian(
@@ -135,10 +127,9 @@ def build_hamiltonian(
         add(dst, src, values)
         add(src, dst, values)
 
-    if params.j_ab != 0.0:
-        add_hop(params.j_ab, "A", "B")
-    if params.j_aa != 0.0:
-        add_hop(params.j_aa, "a", "A")
+    for (left, right), coupling in params.hops.items():
+        if coupling != 0.0:
+            add_hop(coupling, left, right)
     diagonal = np.arange(register.dim)
     for label, u_i in params.u.items():
         n = register.occupations[:, register.position(label)]
@@ -146,11 +137,6 @@ def build_hamiltonian(
     for label, e_i in params.e.items():
         n = register.occupations[:, register.position(label)]
         add(diagonal, diagonal, e_i * n)
-    if params.omega:
-        res_label = params.reservoir.label
-        for label, omega_i in params.omega.items():
-            if omega_i != 0.0:
-                add_hop(omega_i, label, res_label)
     return LinearOperator(register, blocks=blocks, kind="hermitian")
 
 
@@ -161,8 +147,8 @@ def propagator(hamiltonian: LinearOperator, t: float) -> LinearOperator:
     conserves total particle number.  A sector-block H is used as it is; a
     dense H is rejected if an entry between two sectors exceeds ``HERM_ATOL``,
     and its blocks are gathered.  Each sector size is diagonalized in one
-    stacked ``eigh`` call and each block's unitarity is checked; no
-    dim x dim array is formed.
+    stacked ``eigh`` call; the ``kind="unitary"`` result checks each block's
+    unitarity at construction, and no dim x dim array is formed.
     """
     if hamiltonian.grids:
         raise ValueError("Hamiltonians must not carry phase symbols")
@@ -180,17 +166,11 @@ def propagator(hamiltonian: LinearOperator, t: float) -> LinearOperator:
     for block in blocks:
         w, v = np.linalg.eigh(block)
         unitaries.append((v * np.exp(-1j * w * t)[:, None, :]) @ np.swapaxes(v.conj(), -1, -2))
-        _require_unitary(unitaries[-1])
-    return LinearOperator(register, blocks=unitaries, kind="unitary", validate=False)
+    return LinearOperator(register, blocks=unitaries, kind="unitary")
 
 
 def evolve(state: QuantumState, hamiltonian: LinearOperator, t: float) -> QuantumState:
     """exp(-i H t) on H's modes, which the state must hold, in any order, at any place."""
-    if t == 0.0:
-        # Still reject a non-Hermitian or number-changing generator or a foreign mode.
-        propagator(hamiltonian, t)
-        _modes_last(state.register, hamiltonian.register)
-        return state
     return embed_and_apply(state, propagator(hamiltonian, t))
 
 
@@ -294,7 +274,7 @@ def _swap_entries() -> list[tuple[int, int, int, int, float]]:
 
 _SWAP_ENTRIES = _swap_entries()
 # The pulse's largest eigenphase is t = pi/2 times its top energy: the on-site
-# 4 U/J of |2,2> plus at most 2 from the hop (j_ab = 2).  Past this ratio the
+# 4 U/J of |2,2> plus at most 2 from the hop (J = 2).  Past this ratio the
 # phase overflows and the pulse turns NaN.
 MAX_SWAP_RATIO = (sys.float_info.max / (np.pi / 2.0) - 2.0) / 4.0
 
@@ -308,7 +288,7 @@ def _swap_pulse(u_over_j: float) -> LinearOperator:
         )
     g = 1.0
     params = HamiltonianParams(
-        j_ab=2.0 * g, u={"A": u_over_j * g, "B": u_over_j * g}
+        hops={("A", "B"): 2.0 * g}, u={"A": u_over_j * g, "B": u_over_j * g}
     )
     hamiltonian = build_hamiltonian(_SWAP_REGISTER, params)
     return propagator(hamiltonian, np.pi / (2.0 * g))
@@ -329,7 +309,7 @@ def swap_process_fidelity(u_over_j: float) -> float:
     Two modes with occupation cutoff 3 evolve under tunneling plus on-site
     repulsion U for a half period of the single-particle exchange (hopping
     matrix element g, pulse time pi / (2 g); the Hamiltonian carries the
-    tunneling energy as j_ab = 2 g).  The evolved qubit-subspace amplitudes,
+    tunneling energy as the A-B hop J = 2 g).  The evolved qubit-subspace amplitudes,
     read straight from the cached pulse's sector blocks, are compared with
     the fermionic swap truth table after optimizing the three free local
     phases:
@@ -368,10 +348,9 @@ def rotation_modes(nbar: float) -> list[tuple[str, int]]:
 
 def _rotation_pulse(nbar: float) -> LinearOperator:
     """:func:`rotation_deviation`'s quarter-rotation pulse at ``nbar``."""
-    spec = ReservoirSpec("res", nbar)
     register = build_register(rotation_modes(nbar))
     omega = 1.0
-    params = HamiltonianParams(omega={"probe": -omega}, reservoir=spec)
+    params = HamiltonianParams(hops={("probe", "res"): -omega})
     hamiltonian = build_hamiltonian(register, params)
     t = np.pi / (2.0 * omega * math.sqrt(nbar))
     return propagator(hamiltonian, t)
@@ -388,8 +367,8 @@ def rotation_deviation(nbar: float, theta: float = 0.0) -> float:
     returned.
 
     The ideal rotation is generated by the exchange +|Omega|/2 (a^+ r +
-    r^+ a); the Hamiltonian builder carries the coupling as -omega/2 (...),
-    so the scan passes omega = -Omega.
+    r^+ a); the Hamiltonian builder carries a hop as -J/2 (...), so the
+    scan passes the (probe, res) hop J = -Omega.
     """
     res_state, _ = coherent_state(ReservoirSpec("res", nbar), theta)
     pulse = shared_operator(_rotation_pulse, nbar)

@@ -305,6 +305,13 @@ class TestExecution:
                    if o["classification"] != "failure"]
         assert min(o["fidelity_min"] for o in success) >= 1.0 - 1e-12
 
+    def test_negative_angle_in_exponent_form(self, tmp_path):
+        spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+        assert main(["teleport", "--phi", "-1e3", "--out", str(spaced)]) == 0
+        assert main(["teleport", "--phi=-1e3", "--out", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        assert main(["teleport", "--theta-prime", "-1e-3", "--out", str(tmp_path / "t.json")]) == 0
+
     def test_sweep_deterministic_bytes(self, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"

@@ -271,6 +271,15 @@ class TestEmbedding:
         expected[reg.index_of((1, 1))] = np.sqrt(2.0) / 2.0
         expected[reg.index_of((0, 2))] = 0.5
         np.testing.assert_allclose(state.data, expected, atol=1e-14)
+        mixed = basis_state(reg, (0, 0)).to_density()
+        mixed = embed_and_apply(mixed, split, renormalize=True)
+        mixed = embed_and_apply(mixed, split, renormalize=True)
+        np.testing.assert_allclose(mixed.data, state.to_density().data, rtol=0, atol=1e-14)
+        # Creation on the top occupation of both modes leaves nothing to renormalize.
+        full = basis_state(reg, (2, 2))
+        for start in (full, full.to_density()):
+            with pytest.raises(ValueError, match="annihilated the state everywhere"):
+                embed_and_apply(start, split, renormalize=True)
 
     def test_sign_flip_on_second_mode(self):
         reg = build_register([("A", 2), ("B", 2)])

@@ -35,7 +35,6 @@ from modeport.hamiltonian import (
     rotation_modes,
     swap_process_fidelity,
 )
-from modeport.reservoir import ReservoirSpec
 
 # Values pinned from the exact-diagonalization scans on first computation;
 # the scan results are deterministic regressions against these.
@@ -75,7 +74,7 @@ class TestBuild:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="need 11453251584 bytes, over 1090519040"):
-                build_hamiltonian(reg, HamiltonianParams(j_ab=1.0))
+                build_hamiltonian(reg, HamiltonianParams(hops={("A", "B"): 1.0}))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -83,7 +82,7 @@ class TestBuild:
 
     def test_hopping_single_particle_eigenvalues(self):
         reg = build_register([("A", 2), ("B", 2)])
-        h = build_hamiltonian(reg, HamiltonianParams(j_ab=1.0))
+        h = build_hamiltonian(reg, HamiltonianParams(hops={("A", "B"): 1.0}))
         block_idx = [reg.index_of((0, 1)), reg.index_of((1, 0))]
         block = h.matrix[np.ix_(block_idx, block_idx)]
         np.testing.assert_allclose(
@@ -104,7 +103,7 @@ class TestBuild:
 
     def test_matches_loop_oracle(self):
         reg = build_register([("A", 3), ("B", 3)])
-        params = HamiltonianParams(j_ab=2.0, u={"A": 0.5, "B": 0.5})
+        params = HamiltonianParams(hops={("A", "B"): 2.0}, u={"A": 0.5, "B": 0.5})
         h = build_hamiltonian(reg, params)
         np.testing.assert_allclose(
             h.matrix, naive_two_mode_hamiltonian(1.0, 0.5), atol=1e-14
@@ -113,22 +112,21 @@ class TestBuild:
     def test_missing_mode_rejected(self):
         reg = build_register([("A", 2), ("B", 2)])
         with pytest.raises(ValueError, match="unknown"):
-            build_hamiltonian(reg, HamiltonianParams(j_aa=1.0))
+            build_hamiltonian(reg, HamiltonianParams(hops={("a", "A"): 1.0}))
         with pytest.raises(ValueError, match="unknown"):
             build_hamiltonian(reg, HamiltonianParams(u={"x": 1.0}))
 
     def test_hermitian(self):
         reg = build_register([("a", 2), ("A", 2), ("B", 2)])
         params = HamiltonianParams(
-            j_ab=0.3, j_aa=1.1, u={"a": 2.0}, e={"B": 0.4}
+            hops={("A", "B"): 0.3, ("a", "A"): 1.1}, u={"a": 2.0}, e={"B": 0.4}
         )
         h = build_hamiltonian(reg, params)
         np.testing.assert_allclose(h.matrix, h.matrix.conj().T, atol=1e-14)
 
     def test_number_conserved_with_resolved_reservoir(self):
-        spec = ReservoirSpec("res", 4.0, cutoff=24)
         reg = build_register([("m", 2), ("res", 24)])
-        params = HamiltonianParams(omega={"m": 1.0}, reservoir=spec)
+        params = HamiltonianParams(hops={("m", "res"): 1.0})
         h = build_hamiltonian(reg, params)
         total_n = (
             ladder_operator(reg, "m", "number").matrix
@@ -137,15 +135,16 @@ class TestBuild:
         comm = h.matrix @ total_n - total_n @ h.matrix
         assert np.abs(comm).max() < 1e-12
 
-    def test_omega_needs_reservoir(self):
-        with pytest.raises(ValueError, match="reservoir"):
-            HamiltonianParams(omega={"m": 1.0})
+    @pytest.mark.parametrize("key", ["AB", ("A",), ("A", "A")], ids=["string", "one", "same"])
+    def test_hop_key_must_be_two_distinct_labels(self, key):
+        with pytest.raises(ValueError, match="two mode labels|itself"):
+            HamiltonianParams(hops={key: 1.0})
 
 
 class TestEvolve:
     def test_zero_time_identity(self):
         reg = build_register([("A", 2), ("B", 2)])
-        h = build_hamiltonian(reg, HamiltonianParams(j_ab=1.0))
+        h = build_hamiltonian(reg, HamiltonianParams(hops={("A", "B"): 1.0}))
         state = basis_state(reg, (1, 0))
         out = evolve(state, h, 0.0)
         np.testing.assert_allclose(out.data, state.data, atol=1e-15)
@@ -154,7 +153,7 @@ class TestEvolve:
         # J*t = pi/2 moves |10> to (|10> + i |01>)/sqrt(2).
         reg = build_register([("A", 2), ("B", 2)])
         j = 0.8
-        h = build_hamiltonian(reg, HamiltonianParams(j_ab=j))
+        h = build_hamiltonian(reg, HamiltonianParams(hops={("A", "B"): j}))
         out = evolve(basis_state(reg, (1, 0)), h, (np.pi / 2) / j)
         expected = from_amplitudes(
             reg, {(1, 0): 1 / np.sqrt(2), (0, 1): 1j / np.sqrt(2)}
@@ -177,7 +176,7 @@ class TestEvolve:
         rng = np.random.default_rng(12)
         reg = build_register([("A", 3), ("B", 3)])
         h = build_hamiltonian(
-            reg, HamiltonianParams(j_ab=1.3, u={"A": 0.2, "B": 0.9})
+            reg, HamiltonianParams(hops={("A", "B"): 1.3}, u={"A": 0.2, "B": 0.9})
         )
         vec = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         state = QuantumState(reg, vec / np.linalg.norm(vec))
@@ -189,9 +188,8 @@ class TestEvolve:
 
     def test_hamiltonian_on_some_modes_matches_full_register_build(self):
         rng = np.random.default_rng(16)
-        spec = ReservoirSpec("res", 4.0, cutoff=24)
         params = HamiltonianParams(
-            u={"res": 0.3}, e={"probe": 0.7, "res": -0.2}, omega={"probe": 1.1}, reservoir=spec
+            hops={("probe", "res"): 1.1}, u={"res": 0.3}, e={"probe": 0.7, "res": -0.2}
         )
         sub = build_register([("probe", 2), ("res", 24)])
         reg = build_register([("a", 2), ("probe", 2), ("res", 24)])
@@ -204,7 +202,7 @@ class TestEvolve:
 
     @pytest.mark.parametrize("t", [0.0, 0.5])
     def test_hamiltonian_on_a_mode_the_state_lacks_rejected(self, t):
-        h = build_hamiltonian(build_register([("A", 2), ("B", 2)]), HamiltonianParams(j_ab=1.0))
+        h = build_hamiltonian(build_register([("A", 2), ("B", 2)]), HamiltonianParams(hops={("A", "B"): 1.0}))
         state = basis_state(build_register([("A", 2), ("C", 2)]), (1, 0))
         with pytest.raises(ValueError, match="unknown mode label 'B'"):
             evolve(state, h, t)
@@ -355,9 +353,8 @@ class TestSectorPropagator:
             evolve(basis_state(reg, (0, 0)), h, t)
 
     def test_reservoir_self_coupling_rejected(self):
-        spec = ReservoirSpec("res", 4.0, cutoff=24)
         with pytest.raises(ValueError, match="itself"):
-            HamiltonianParams(omega={"res": 1.0}, reservoir=spec)
+            HamiltonianParams(hops={("res", "res"): 1.0})
 
     def test_unitarity_checked_for_every_sector_size(self, monkeypatch):
         reg = build_register([("a", 3), ("A", 2), ("B", 3)])
@@ -431,7 +428,7 @@ class TestHardcoreScan:
     def test_single_particle_sector_exact_at_any_u(self):
         for ratio in (0.5, 7.0, 300.0):
             reg = build_register([("A", 3), ("B", 3)])
-            params = HamiltonianParams(j_ab=2.0, u={"A": ratio, "B": ratio})
+            params = HamiltonianParams(hops={("A", "B"): 2.0}, u={"A": ratio, "B": ratio})
             h = build_hamiltonian(reg, params)
             out = evolve(basis_state(reg, (1, 0)), h, np.pi / 2)
             amp = out.data[reg.index_of((0, 1))]
@@ -453,7 +450,7 @@ class TestHardcoreScan:
 
     def test_nan_time_rejected(self):
         reg = build_register([("A", 3), ("B", 3)])
-        h = build_hamiltonian(reg, HamiltonianParams(j_ab=1.0, u={"A": 2.0, "B": 2.0}))
+        h = build_hamiltonian(reg, HamiltonianParams(hops={("A", "B"): 1.0}, u={"A": 2.0, "B": 2.0}))
         with pytest.raises(ValueError, match="unitary"):
             propagator(h, float("nan"))
         with pytest.raises(ValueError, match="unitary"):
@@ -645,7 +642,7 @@ class TestPulseCache:
         defaults = RunConfig("hardcore")
         for ratio in defaults.ratios:
             swap_process_fidelity(ratio)
-            params = HamiltonianParams(j_ab=2.0, u={"A": ratio, "B": ratio})
+            params = HamiltonianParams(hops={("A", "B"): 2.0}, u={"A": ratio, "B": ratio})
             reg = build_register([("A", 3), ("B", 3)])
             fresh = propagator(build_hamiltonian(reg, params), np.pi / 2.0)
             cached = shared_swap_pulse(ratio)
@@ -653,7 +650,7 @@ class TestPulseCache:
             assert all(map(np.array_equal, cached.blocks, fresh.blocks))
         for nbar in defaults.nbars:
             rotation_deviation(nbar)
-            params = HamiltonianParams(omega={"probe": -1.0}, reservoir=ReservoirSpec("res", nbar))
+            params = HamiltonianParams(hops={("probe", "res"): -1.0})
             reg = build_register(rotation_modes(nbar))
             fresh = propagator(build_hamiltonian(reg, params), np.pi / (2.0 * math.sqrt(nbar)))
             cached = shared_rotation_pulse(nbar)

@@ -16,7 +16,6 @@ from modeport.fock import (
     ladder_operator,
 )
 from modeport.hamiltonian import HamiltonianParams, build_hamiltonian, evolve, propagator
-from modeport.reservoir import ReservoirSpec
 
 
 def dense_hamiltonian(register, params):
@@ -32,17 +31,13 @@ def dense_hamiltonian(register, params):
         h[...] += term
         h[...] += term.conj().T
 
-    if params.j_ab != 0.0:
-        add_hop(params.j_ab, "A", "B")
-    if params.j_aa != 0.0:
-        add_hop(params.j_aa, "a", "A")
+    for (left, right), coupling in params.hops.items():
+        add_hop(coupling, left, right)
     for label, u_i in params.u.items():
         n = op(label, "number")
         h += u_i * (n @ n - n)
     for label, e_i in params.e.items():
         h += e_i * op(label, "number")
-    for label, omega_i in params.omega.items():
-        add_hop(omega_i, label, params.reservoir.label)
     return h
 
 
@@ -53,15 +48,23 @@ def gathered_blocks(register, matrix):
 def random_params(rng, register):
     x = [float(v) for v in rng.uniform(-3.0, 3.0, size=5)]
     if "res" in register.labels:
-        spec = ReservoirSpec("res", 4.0, cutoff=register.dims[-1])
         return HamiltonianParams(
-            u={"res": x[0]}, e={"probe": x[1], "res": x[2]}, omega={"probe": x[3]}, reservoir=spec
+            u={"res": x[0]}, e={"probe": x[1], "res": x[2]}, hops={("probe", "res"): x[3]}
         )
-    return HamiltonianParams(j_ab=x[0], u={"A": x[1], "B": x[2]}, e={"A": x[3], "B": x[4]})
+    if "C" in register.labels:
+        # Entanglement swapping's B-C tunneling next to the a-A hop.
+        return HamiltonianParams(
+            hops={("B", "C"): x[0], ("a", "A"): x[1]}, u={"B": x[2], "C": x[3]}, e={"a": x[4]}
+        )
+    return HamiltonianParams(
+        hops={("A", "B"): x[0]}, u={"A": x[1], "B": x[2]}, e={"A": x[3], "B": x[4]}
+    )
 
 
 BUILD_REGISTERS = pytest.mark.parametrize(
-    "modes", [[("A", 3), ("B", 3)], [("probe", 2), ("res", 24)]], ids=["hardcore", "reservoir"]
+    "modes",
+    [[("A", 3), ("B", 3)], [("probe", 2), ("res", 24)], [("a", 2), ("A", 2), ("B", 3), ("C", 3)]],
+    ids=["hardcore", "reservoir", "four_mode_bc_hop"],
 )
 
 
@@ -171,8 +174,7 @@ def test_block_and_dense_propagators_agree(dims, n_idle, data, seed, t):
 class TestNoDenseAllocation:
     def test_build_propagate_evolve_stay_below_dim_squared(self):
         reg = build_register([("probe", 2), ("res", 1000)])
-        spec = ReservoirSpec("res", 700.0, cutoff=1000)
-        params = HamiltonianParams(omega={"probe": -1.0}, e={"res": 0.1}, reservoir=spec)
+        params = HamiltonianParams(hops={("probe", "res"): -1.0}, e={"res": 0.1})
         state = basis_state(reg, (1, 500))
         dense_bytes = 16 * reg.dim**2
         tracemalloc.start()
@@ -190,8 +192,7 @@ class TestNoDenseAllocation:
     def test_pulse_on_some_modes_stays_below_dim_squared(self):
         sub = build_register([("probe", 2), ("res", 1000)])
         reg = build_register([("a", 2), ("probe", 2), ("res", 1000)])
-        spec = ReservoirSpec("res", 700.0, cutoff=1000)
-        params = HamiltonianParams(omega={"probe": -1.0}, e={"res": 0.1}, reservoir=spec)
+        params = HamiltonianParams(hops={("probe", "res"): -1.0}, e={"res": 0.1})
         pulse = propagator(build_hamiltonian(sub, params), 0.3)
         state = basis_state(reg, (1, 1, 500))
         tracemalloc.start()

@@ -1,10 +1,12 @@
-"""State and operator checks: the PSD verdict near its bound, and NaN rejection."""
+"""State and operator checks: PSD verdict near its bound, NaN rejection, unchecked to_density."""
 
 import numpy as np
 import pytest
 
 from modeport.fock import (
     MIN_EIGVAL,
+    NORM_ATOL,
+    TRACE_ATOL,
     LinearOperator,
     PhaseGrid,
     QuantumState,
@@ -25,6 +27,20 @@ def densities_with_min_eigenvalue(rng, dim, lead, lam_min):
     w = np.concatenate([np.full(lead + (1,), lam_min), rest], axis=-1)
     rho = np.einsum("...ij,...j,...kj->...ik", v, w, v.conj())
     return 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
+
+
+class TestToDensity:
+    def test_pure_state_at_the_norm_bound_has_its_trace_past_the_trace_bound(self):
+        # Why to_density skips validation: |psi| = 1 + 9e-13 passes the norm
+        # check, but tr |psi><psi| = |psi|^2 = 1 + 1.8e-12 would fail the trace check.
+        reg = build_register([("A", 2)])
+        state = QuantumState(reg, np.array([1.0 + 9e-13, 0.0]))
+        assert abs(state.norms() - 1.0) <= NORM_ATOL
+        rho = state.to_density()
+        assert abs(rho.norms() - 1.0) > TRACE_ATOL
+        np.testing.assert_array_equal(rho.data, state.density_data())
+        with pytest.raises(ValueError, match="trace"):
+            QuantumState(reg, rho.data)
 
 
 class TestPsdCheck:
