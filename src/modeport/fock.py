@@ -179,7 +179,8 @@ class PhaseGrid:
 
     A grid of M points integrates e**(i*k*theta) exactly for all |k| < M, so
     it is exact for states whose density-matrix entries have Fourier order up
-    to M - 1, i.e. amplitude order up to (M - 1) // 2.
+    to M - 1, i.e. amplitude order up to (M - 1) // 2.  ``n_points`` must be
+    an integer of at least 2.
     """
 
     symbol: str
@@ -188,6 +189,8 @@ class PhaseGrid:
     def __post_init__(self):
         if not str(self.symbol).isidentifier():
             raise ValueError(f"phase symbol {self.symbol!r} is not an identifier")
+        if not isinstance(self.n_points, numbers.Integral):
+            raise ValueError(f"phase grid size {self.n_points!r} is not an integer")
         if self.n_points < 2:
             raise ValueError("phase grid needs at least 2 points")
 

@@ -27,7 +27,8 @@ The hard-core scan reads each ratio's four swap amplitudes straight from its
 cached pulse's sector blocks and optimizes the local phases of all ratios in
 one lockstep search, bit for bit the values of a search run one ratio at a
 time; a ratio past ``MAX_SWAP_RATIO``, where the pulse's phases overflow, is
-refused before its pulse is built.
+refused before its pulse is built.  The reservoir scan builds its ideal
+outputs once, and :func:`rotation_deviation` is its one-point case.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from .fock import (
     LinearOperator,
     ModeRegister,
     QuantumState,
+    _apply_blocks,
     _max_offsector_entry,
-    basis_state,
     build_register,
     embed_and_apply,
     partial_trace,
@@ -356,43 +357,48 @@ def _rotation_pulse(nbar: float) -> LinearOperator:
     return propagator(hamiltonian, t)
 
 
+def _rotation_point(nbar: float, theta: float, targets: list[QuantumState]) -> float:
+    """One point of :func:`reservoir_resolved_rotation`; its arrays die on return."""
+    # First, so that a bad nbar or theta is refused before anything is allocated.
+    res_state, _ = coherent_state(ReservoirSpec("res", nbar), theta)
+    pulse = shared_operator(_rotation_pulse, nbar)
+    if not targets:  # the scan's ideal outputs for inputs |0> and |1>, once theta is accepted
+        ideal = number_rotation_matrix(np.pi / 4, theta)
+        targets += [QuantumState(pulse.register.restricted(["probe"]), ideal[:, k]) for k in (0, 1)]
+    amps, worst = res_state.data, 0.0
+    for occ, target in enumerate(targets):
+        joint = np.zeros(pulse.register.dim, np.complex128)  # |occ> (x) the coherent state
+        joint[occ * amps.size : (occ + 1) * amps.size] = amps
+        evolved = QuantumState(pulse.register, _apply_blocks(pulse, joint))
+        worst = max(worst, float(trace_distance(partial_trace(evolved, ["probe"]), target)))
+    return worst
+
+
 def rotation_deviation(nbar: float, theta: float = 0.0) -> float:
-    """Deviation of the resolved-reservoir rotation from the ideal one.
+    """:func:`reservoir_resolved_rotation` at the one point ``nbar``."""
+    ((_, deviation),) = reservoir_resolved_rotation([nbar], theta)
+    return deviation
+
+
+def reservoir_resolved_rotation(
+    nbars: Sequence[float], theta: float = 0.0
+) -> list[tuple[float, float]]:
+    """Deviation of the resolved-reservoir rotation from the ideal one, per nbar.
 
     A qubit mode exchanges particles with a truncated coherent reservoir at
     phase ``theta`` for the quarter-rotation time t = pi / (2 Omega
     sqrt(nbar)).  The reservoir is traced out and the outputs for inputs |0>
     and |1> are compared (trace distance) against the ideal rotation of
     :func:`number_rotation_matrix` at theta' = pi/4; the worst of the two is
-    returned.
+    the deviation.  ``nbars`` must be positive and ascending, and ``theta``
+    finite.  The deviation shrinks as the mean occupation grows, which is the
+    executable form of the large-reservoir assumption behind the idealized
+    number rotation.
 
     The ideal rotation is generated by the exchange +|Omega|/2 (a^+ r +
     r^+ a); the Hamiltonian builder carries a hop as -J/2 (...), so the
     scan passes the (probe, res) hop J = -Omega.
     """
-    res_state, _ = coherent_state(ReservoirSpec("res", nbar), theta)
-    pulse = shared_operator(_rotation_pulse, nbar)
-    register = pulse.register
-    probe = register.restricted(["probe"])
-    ideal = number_rotation_matrix(np.pi / 4, theta)
-    worst = 0.0
-    for occ in (0, 1):
-        joint = QuantumState(register, np.kron(basis_state(probe, (occ,)).data, res_state.data))
-        evolved = embed_and_apply(joint, pulse)
-        reduced = partial_trace(evolved, ["probe"])
-        target = QuantumState(probe, ideal[:, occ])
-        worst = max(worst, float(trace_distance(reduced, target)))
-    return worst
-
-
-def reservoir_resolved_rotation(
-    nbars: Sequence[float], theta: float = 0.0
-) -> list[tuple[float, float]]:
-    """Rotation deviation for each reservoir size; ascending ``nbars``.
-
-    The deviation shrinks as the mean occupation grows, which is the
-    executable form of the large-reservoir assumption behind the idealized
-    number rotation.
-    """
     values = _scan_points(nbars, "nbar values")
-    return [(n, rotation_deviation(n, theta)) for n in values]
+    targets: list[QuantumState] = []
+    return [(n, _rotation_point(n, theta, targets)) for n in values]

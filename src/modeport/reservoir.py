@@ -99,7 +99,10 @@ def coherent_state(spec: ReservoirSpec, theta: float) -> tuple[QuantumState, flo
     Amplitudes are exp(-nbar/2) * (sqrt(nbar) e^{i theta})**n / sqrt(n!) on
     occupations 0 .. cutoff - 1, renormalized.  Returns the state together
     with the norm deficit of the truncated expansion before renormalization.
+    ``theta`` must be finite.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"reservoir phase theta {theta!r} must be finite")
     # Built first, so a cutoff past MAX_REGISTER_DIM is refused before any allocation.
     register = ModeRegister([(spec.label, spec.cutoff)])
     n = np.arange(spec.cutoff)

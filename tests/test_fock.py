@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -593,6 +594,13 @@ class TestStateInvariants:
 
 
 class TestPhaseGridStates:
+    def test_grid_size_must_be_an_integer(self):
+        for n_points in (2.5, 16.0, math.nan, math.inf, "16"):
+            with pytest.raises(ValueError, match="not an integer"):
+                PhaseGrid("theta", n_points)
+        grid = PhaseGrid("theta", np.int64(16))
+        assert grid.points.shape == (16,)
+
     def test_gridded_state_roundtrip(self):
         reg = build_register([("A", 2)])
         grid = PhaseGrid("theta", 16)

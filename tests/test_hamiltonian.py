@@ -1,3 +1,4 @@
+import copy
 import gc
 import math
 import re
@@ -35,6 +36,7 @@ from modeport.hamiltonian import (
     rotation_modes,
     swap_process_fidelity,
 )
+from modeport.reservoir import ReservoirSpec, coherent_state
 
 # Values pinned from the exact-diagonalization scans on first computation;
 # the scan results are deterministic regressions against these.
@@ -581,7 +583,72 @@ class TestPhaseSearch:
         assert peak < 8_000_000
 
 
+def per_input_rotation_deviation(nbar, theta=0.0):
+    """``rotation_deviation`` with each probe input built as a basis state
+    times the reservoir state, validated, evolved and compared on its own."""
+    res_state, _ = coherent_state(ReservoirSpec("res", nbar), theta)
+    pulse = shared_operator(hamiltonian._rotation_pulse, nbar)
+    register = pulse.register
+    probe = register.restricted(["probe"])
+    ideal = number_rotation_matrix(np.pi / 4, theta)
+    worst = 0.0
+    for occ in (0, 1):
+        joint = QuantumState(register, np.kron(basis_state(probe, (occ,)).data, res_state.data))
+        evolved = fock.embed_and_apply(joint, pulse)
+        reduced = fock.partial_trace(evolved, ["probe"])
+        target = QuantumState(probe, ideal[:, occ])
+        worst = max(worst, float(fock.trace_distance(reduced, target)))
+    return worst
+
+
+# Log-uniform over [1e-4, 3e4], plus a band past 1,500, where the low
+# occupations of the coherent state underflow to signed zeros.
+_NBAR = st.one_of(
+    st.floats(-4.0, math.log10(3e4)).map(lambda x: 10.0**x),
+    st.floats(1500.0, 3e4),
+)
+
+
 class TestReservoirScan:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        nbars=st.lists(_NBAR, min_size=1, max_size=3).map(sorted),
+        theta=st.floats(-2.0 * math.pi, 2.0 * math.pi, exclude_max=True),
+    )
+    @example(nbars=[1e-4, 4.0, 3e4], theta=-2.0 * math.pi)
+    @example(nbars=[1500.0, 1500.0], theta=0.0)
+    @example(nbars=[256.0], theta=-0.0)
+    def test_one_pass_scan_equals_per_input_oracle_bit_for_bit(self, nbars, theta):
+        scan = reservoir_resolved_rotation(nbars, theta)
+        oracle = [per_input_rotation_deviation(n, theta) for n in nbars]
+        assert [n for n, _ in scan] == nbars
+        assert [d.hex() for _, d in scan] == [d.hex() for d in oracle]
+        assert rotation_deviation(nbars[0], theta).hex() == oracle[0].hex()
+
+    def test_pulse_one_block_off_unitary_is_refused(self, monkeypatch):
+        nbar = 4.0
+        pulse = hamiltonian._rotation_pulse(nbar)
+        # Scale the 2 x 2 block of sector N = 4, where the coherent state peaks.
+        sector = int(np.argwhere(pulse.register.sectors[1] == pulse.register.index_of((0, 4)))[0, 0])
+        blocks = [b.copy() for b in pulse.blocks]
+        blocks[1][sector] *= 1.0 + 1e-9
+        tampered = copy.copy(pulse)
+        tampered.blocks = tuple(blocks)
+        monkeypatch.setattr(hamiltonian, "_rotation_pulse", lambda n: tampered)
+        with pytest.raises(ValueError, match="norm must be 1"):
+            reservoir_resolved_rotation([nbar])
+        with pytest.raises(ValueError, match="norm must be 1"):
+            rotation_deviation(nbar, 0.7)
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_theta_names_theta(self, theta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="theta"):
+                rotation_deviation(4.0, theta)
+            with pytest.raises(ValueError, match="theta"):
+                reservoir_resolved_rotation([4.0, 16.0], theta)
+
     def test_rotation_additivity(self):
         # Two quarter rotations compose to one half rotation.
         theta = 0.9

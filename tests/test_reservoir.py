@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +229,19 @@ class TestCoherentState:
         for nbar in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="positive and finite"):
                 ReservoirSpec("res", nbar)
+
+    def test_non_finite_theta_rejected_before_allocating(self):
+        spec = ReservoirSpec("res", 1e6)
+        for theta in (math.inf, -math.inf, math.nan):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="theta"):
+                    coherent_state(spec, theta)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # The amplitudes alone would take 16 MB.
+            assert peak < 1_000_000
 
     def test_non_integer_cutoff_rejected(self):
         for cutoff in (30.5, 30.0, math.nan, math.inf):
