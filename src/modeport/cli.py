@@ -54,11 +54,12 @@ class RunConfig:
 
 
 def _grid_entries(config: RunConfig) -> int:
-    """Entries of the largest gridded array ``config``'s command allocates.
+    """Gridded entries counted for ``config``'s command, which ``--grid`` bounds.
 
     The three-mode teleport state (dim 8) carries one grid axis per reservoir,
-    so M**2 * 8 amplitudes (M * 8 with a shared reservoir); dense coding's
-    two-mode states carry one grid, at most M * 16 entries as density matrices.
+    so M**2 * 8 amplitudes (M * 8 with a shared reservoir); twirling the
+    failure branch forms a (M, M, 4, 4) density, twice that.  Dense coding's
+    two-mode states are pure on one grid, M * 4 amplitudes; M * 16 is counted.
     """
     m = config.grid_points
     if config.command == "densecoding":
@@ -199,7 +200,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     entries = _grid_entries(config) if "grid_points" in names else 0
     if entries > MAX_REGISTER_DIM:  # refused before allocating
         print(
-            f"modeport: --grid {config.grid_points}: largest gridded array has "
+            f"modeport: --grid {config.grid_points}: gridded state counts "
             f"{entries} entries, over {MAX_REGISTER_DIM}",
             file=sys.stderr,
         )
@@ -262,19 +263,20 @@ def _run_sweep(config: RunConfig):
     for i, spec in enumerate(specs):
         result = run_teleportation(spec, reservoir_config, config.grid_points)
         violations += teleport_violations(result, f"sweep[{i}]")
-        success_fid = min(
-            rec.fidelity_min for rec in result.outcomes if rec.status == SUCCESS_STATUS
-        )
+        success = [rec.fidelity_min for rec in result.outcomes if rec.status == SUCCESS_STATUS]
         runs.append(
             {
                 "theta_prime": spec.theta_prime,
                 "phi": spec.phi,
                 "success_probability": result.success_probability,
-                "fidelity_min_success": success_fid,
+                "fidelity_min_success": float(np.min(success)),
                 "failure_mode_a_distance": result.failure_mode_a_distance,
                 "ssr_compliant": result.ssr_compliant,
             }
         )
+    # numpy's max and min carry a NaN through, wherever it sits; Python's drop it.
+    worst_error = np.max([abs(r["success_probability"] - 0.5) for r in runs])
+    worst_fidelity = np.min([r["fidelity_min_success"] for r in runs])
     payload = {
         "command": "sweep",
         "n": config.n,
@@ -284,11 +286,9 @@ def _run_sweep(config: RunConfig):
         "reservoirs": reservoir_config,
         "runs": runs,
         "aggregate": {
-            "max_success_probability_error": max(
-                abs(r["success_probability"] - 0.5) for r in runs
-            ),
+            "max_success_probability_error": float(worst_error),
             # Per-run fidelities can read 1 + 2e-16; the aggregate is clamped at 1.
-            "min_success_fidelity": min(1.0, *(r["fidelity_min_success"] for r in runs)),
+            "min_success_fidelity": float(np.minimum(1.0, worst_fidelity)),
             "all_ssr_compliant": all(r["ssr_compliant"] for r in runs),
         },
     }

@@ -89,11 +89,6 @@ class ModeRegister:
     def total_numbers(self) -> np.ndarray:
         return self.occupations.sum(axis=1)
 
-    @cached_property
-    def _offsector(self) -> np.ndarray:
-        """(dim, dim) mask of the entries between two total-number sectors."""
-        return self.total_numbers[:, None] != self.total_numbers
-
     @property
     def n_modes(self) -> int:
         return len(self.modes)
@@ -397,9 +392,7 @@ class QuantumState:
 
 def basis_state(register: ModeRegister, occupations: Sequence[int]) -> QuantumState:
     """Fock basis state |n_1 n_2 ...> for the given occupation tuple."""
-    vec = np.zeros(register.dim, dtype=np.complex128)
-    vec[register.index_of(occupations)] = 1.0
-    return QuantumState(register, vec)
+    return from_amplitudes(register, {tuple(occupations): 1.0})
 
 
 def from_amplitudes(
@@ -421,7 +414,8 @@ def from_amplitudes(
 
 def _max_offsector_entry(matrix: np.ndarray, register: ModeRegister) -> float:
     """Largest |entry| of a dim x dim matrix between two total-number sectors."""
-    offsector = register._offsector
+    n = register.total_numbers
+    offsector = n[:, None] != n
     return float(np.abs(matrix[offsector]).max()) if offsector.any() else 0.0
 
 
@@ -669,6 +663,20 @@ def _contract(
     return result
 
 
+def _branch_probability(data: np.ndarray, pure: bool) -> np.ndarray:
+    """Per-grid-point squared norm (pure) or trace (density) of a branch."""
+    if pure:
+        return np.sum(np.abs(data) ** 2, axis=-1)
+    return np.real(np.trace(data, axis1=-2, axis2=-1))
+
+
+def _normalized_branch(data: np.ndarray, prob: np.ndarray, pure: bool) -> np.ndarray:
+    """``data`` over its norm (pure) or trace (density) ``prob`` per grid point,
+    or 0 where that weight is at most ``PROB_FLOOR``."""
+    weight = np.sqrt(prob)[..., None] if pure else prob[..., None, None]
+    return np.where(weight > PROB_FLOOR, data / np.maximum(weight, PROB_FLOOR), 0.0)
+
+
 def embed_and_apply(
     state: QuantumState, op: LinearOperator, renormalize: bool = False
 ) -> QuantumState:
@@ -695,16 +703,10 @@ def embed_and_apply(
     if not state.is_pure:
         out = _contract(op, np.swapaxes(out, -1, -2), register, symbols, symbols, conj=True)
     if renormalize:
-        if state.is_pure:
-            norm = np.sqrt(np.sum(np.abs(out) ** 2, axis=-1, keepdims=True))
-            if norm.max() < PROB_FLOOR:
-                raise ValueError("operator annihilated the state everywhere")
-            out = np.where(norm > PROB_FLOOR, out / np.maximum(norm, PROB_FLOOR), 0.0)
-        else:
-            tr = np.real(np.trace(out, axis1=-2, axis2=-1))[..., None, None]
-            if tr.max() < PROB_FLOOR:
-                raise ValueError("operator annihilated the state everywhere")
-            out = np.where(tr > PROB_FLOOR, out / np.maximum(tr, PROB_FLOOR), 0.0)
+        prob = _branch_probability(out, state.is_pure)
+        if (np.sqrt(prob) if state.is_pure else prob).max() < PROB_FLOOR:
+            raise ValueError("operator annihilated the state everywhere")
+        out = _normalized_branch(out, prob, state.is_pure)
     return QuantumState(register, out, grids=grids, fourier_order=orders)
 
 
@@ -842,8 +844,7 @@ class MeasurementOutcome:
 class MeasurementResult:
     """All retained outcomes of a projective number measurement."""
 
-    def __init__(self, measured: tuple[str, ...], outcomes: list[MeasurementOutcome]):
-        self.measured = measured
+    def __init__(self, outcomes: list[MeasurementOutcome]):
         self.outcomes = outcomes
 
     def outcome(self, occupations: Sequence[int]) -> MeasurementOutcome:
@@ -879,44 +880,36 @@ def measure_number(state: QuantumState, modes: Sequence[str]) -> MeasurementResu
     for occ_m, group in readout:
         if state.is_pure:
             sub = state.data[..., group]
-            prob = np.sum(np.abs(sub) ** 2, axis=-1)
         else:
             sub = state.data[..., group[:, None], group[None, :]]
-            prob = np.real(np.trace(sub, axis1=-2, axis2=-1))
+        prob = _branch_probability(sub, state.is_pure)
         total = prob if total is None else total + prob
         if prob.max() < PROB_FLOOR:
             continue
-        if sub_register is None:
-            cond = None
-        elif state.is_pure:
-            norm = np.sqrt(prob)[..., None]
-            vec = np.where(norm > PROB_FLOOR, sub / np.maximum(norm, PROB_FLOOR), 0.0)
-            cond = QuantumState(
-                sub_register, vec, grids=state.grids, fourier_order=state.fourier_order
-            )
-        else:
-            p = prob[..., None, None]
-            mat = np.where(p > PROB_FLOOR, sub / np.maximum(p, PROB_FLOOR), 0.0)
-            cond = QuantumState(
-                sub_register, mat, grids=state.grids, fourier_order=state.fourier_order
-            )
+        cond = None
+        if sub_register is not None:
+            data = _normalized_branch(sub, prob, state.is_pure)
+            cond = QuantumState(sub_register, data, state.grids, state.fourier_order)
         outcomes.append(
             MeasurementOutcome(occ_m, prob, cond, state.grids, state.fourier_order)
         )
     if np.abs(total - state.norms() ** (2 if state.is_pure else 1)).max() > 1e-10:
         raise AssertionError("measurement probabilities do not sum to the state norm")
-    return MeasurementResult(tuple(modes), outcomes)
+    return MeasurementResult(outcomes)
 
 
 # -- metrics ---------------------------------------------------------------
 
 
-def _aligned_pair(x: QuantumState, y: QuantumState):
+def _aligned(x: QuantumState, y: QuantumState, xd: np.ndarray, yd: np.ndarray):
+    """``xd`` and ``yd``, arrays of ``x`` and ``y``, with singleton grid axes so
+    they broadcast by symbol, and whether the pair carries any phase grid."""
     if x.register != y.register:
         raise ValueError("states live on different registers")
     grids, _ = _merge_grids(x.grids, x.fourier_order, y.grids, y.fourier_order)
     symbols = tuple(g.symbol for g in grids)
-    return grids, symbols
+    xd = _expand_axes(xd, x.phase_symbols, symbols)
+    return xd, _expand_axes(yd, y.phase_symbols, symbols), bool(grids)
 
 
 def _maybe_scalar(value: np.ndarray, gridded: bool):
@@ -949,35 +942,27 @@ def fidelity(x: QuantumState, y: QuantumState):
     Returns a float for symbol-free inputs, otherwise an array over the
     combined phase grid (broadcast by symbol).
     """
-    grids, symbols = _aligned_pair(x, y)
+    xd, yd, gridded = _aligned(x, y, x.data, y.data)
     if x.is_pure and y.is_pure:
-        xd = _expand_axes(x.data, x.phase_symbols, symbols)
-        yd = _expand_axes(y.data, y.phase_symbols, symbols)
         overlap = np.einsum("...i,...i->...", xd.conj(), yd)
-        return _maybe_scalar(np.abs(overlap) ** 2, bool(grids))
+        return _maybe_scalar(np.abs(overlap) ** 2, gridded)
     if x.is_pure or y.is_pure:
-        pure, mixed = (x, y) if x.is_pure else (y, x)
-        pd = _expand_axes(pure.data, pure.phase_symbols, symbols)
-        md = _expand_axes(mixed.data, mixed.phase_symbols, symbols)
+        pd, md = (xd, yd) if x.is_pure else (yd, xd)
         value = np.real(np.einsum("...i,...ij,...j->...", pd.conj(), md, pd))
-        return _maybe_scalar(value, bool(grids))
-    xd = _expand_axes(x.data, x.phase_symbols, symbols)
-    yd = _expand_axes(y.data, y.phase_symbols, symbols)
+        return _maybe_scalar(value, gridded)
     xd, yd = np.broadcast_arrays(xd, yd)
     root = _psd_sqrt(xd)
     inner = np.einsum("...ij,...jk,...kl->...il", root, yd, root)
     w = np.linalg.eigvalsh(inner)
     value = np.sum(np.sqrt(_clip_spectrum(w)), axis=-1) ** 2
-    return _maybe_scalar(value, bool(grids))
+    return _maybe_scalar(value, gridded)
 
 
 def trace_distance(x: QuantumState, y: QuantumState):
     """Trace distance (1/2)*tr|x - y|, per grid point when symbols are present."""
-    grids, symbols = _aligned_pair(x, y)
-    xd = _expand_axes(x.density_data(), x.phase_symbols, symbols)
-    yd = _expand_axes(y.density_data(), y.phase_symbols, symbols)
+    xd, yd, gridded = _aligned(x, y, x.density_data(), y.density_data())
     w = np.linalg.eigvalsh(xd - yd)
-    return _maybe_scalar(0.5 * np.sum(np.abs(w), axis=-1), bool(grids))
+    return _maybe_scalar(0.5 * np.sum(np.abs(w), axis=-1), gridded)
 
 
 def entanglement_entropy(state: QuantumState, keep: Sequence[str]):

@@ -30,7 +30,7 @@ class TestParsing:
             parse_config(["teleport", "--grid", "8"])
         assert exc.value.code != 0
 
-    # (command, largest grid whose largest gridded array fits in MAX_REGISTER_DIM):
+    # (command, largest grid whose counted gridded entries fit in MAX_REGISTER_DIM):
     # M**2 * 8 <= 2**22 with two reservoirs, M * 8 with one, M * 16 for dense coding.
     @pytest.mark.parametrize(
         "argv,largest",
@@ -409,3 +409,34 @@ class TestViolations:
         assert main(["hardcore", "--out", str(tmp_path / "scan.csv")]) == 1
         (violation,) = json.loads(capsys.readouterr().err)["violations"]
         assert violation.startswith("hardcore: infidelities not monotone")
+
+    @pytest.mark.parametrize("field", ["success_probability", "fidelity_min"])
+    def test_sweep_aggregate_carries_a_nan(self, monkeypatch, capsys, tmp_path, field):
+        # Run 2 of 3 reads NaN: Python's max and min would drop it past the first run.
+        real = cli.run_teleportation
+        calls = []
+
+        def run(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append(result)
+            if len(calls) != 2:
+                return result
+            if field == "success_probability":
+                return dataclasses.replace(result, success_probability=math.nan)
+            outcomes = [dataclasses.replace(rec, fidelity_min=math.nan) for rec in result.outcomes]
+            return dataclasses.replace(result, outcomes=outcomes)
+
+        monkeypatch.setattr(cli, "run_teleportation", run)
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--n", "3", "--seed", "7", "--out", str(out)]) == 1
+        violations = json.loads(capsys.readouterr().err)["violations"]
+        assert violations and all(v.startswith("sweep[1]: ") for v in violations)
+        payload = json.loads(out.read_text())
+        aggregate = payload["aggregate"]
+        if field == "success_probability":
+            assert math.isnan(aggregate["max_success_probability_error"])
+            assert aggregate["min_success_fidelity"] <= 1.0
+        else:
+            assert math.isnan(payload["runs"][1]["fidelity_min_success"])
+            assert math.isnan(aggregate["min_success_fidelity"])
+            assert not math.isnan(aggregate["max_success_probability_error"])

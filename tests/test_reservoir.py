@@ -197,6 +197,20 @@ class TestSsr:
         with pytest.raises(ValueError, match="twirl"):
             ssr_compliance_check(state)
 
+    def test_check_keeps_no_mask_on_the_register(self):
+        # A dim x dim off-sector mask kept with the register would retain 1 MB here.
+        reg = build_register([(f"m{i}", 2) for i in range(10)])
+        state = basis_state(reg, (1,) + (0,) * 9)
+        assert reg.total_numbers.size == reg.dim  # a per-state table, built before tracing
+        tracemalloc.start()
+        try:
+            report = ssr_compliance_check(state)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.compliant and report.max_offblock_norm == 0.0
+        assert retained < 64 * 1024
+
 
 class TestCoherentState:
     def test_small_nbar_is_vacuum_like(self):

@@ -1,0 +1,226 @@
+"""The per-grid-point rules of the state layer, bit for bit against reference copies.
+
+Each reference below is the rule as it was written inline, once per caller,
+before the callers shared one helper: branch normalisation in
+``embed_and_apply(renormalize=True)`` and ``measure_number``, and grid
+alignment in ``fidelity`` and ``trace_distance``.  Random pure and density
+circuits go through both; arrays must match in bytes and memory layout, and
+scalars in their hex digits.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from modeport.fock import (
+    PROB_FLOOR,
+    LinearOperator,
+    PhaseGrid,
+    QuantumState,
+    _clip_spectrum,
+    _contract,
+    _expand_axes,
+    _maybe_scalar,
+    _merge_grids,
+    _psd_sqrt,
+    basis_state,
+    embed_and_apply,
+    fidelity,
+    ladder_operator,
+    measure_number,
+    partial_trace,
+    trace_distance,
+)
+from test_gate_properties import (
+    SYMBOLS,
+    build_gate,
+    measured_circuits,
+    qubit_register,
+    random_start,
+)
+
+
+def reference_renormalized_apply(state, op):
+    register = state.register
+    grids, orders = _merge_grids(state.grids, state.fourier_order, op.grids, op.fourier_order)
+    symbols = tuple(g.symbol for g in grids)
+    data = state.data if state.is_pure else np.swapaxes(state.data, -1, -2)
+    out = _contract(op, data, register, state.phase_symbols, symbols)
+    if not state.is_pure:
+        out = _contract(op, np.swapaxes(out, -1, -2), register, symbols, symbols, conj=True)
+    if state.is_pure:
+        norm = np.sqrt(np.sum(np.abs(out) ** 2, axis=-1, keepdims=True))
+        if norm.max() < PROB_FLOOR:
+            raise ValueError("operator annihilated the state everywhere")
+        out = np.where(norm > PROB_FLOOR, out / np.maximum(norm, PROB_FLOOR), 0.0)
+    else:
+        tr = np.real(np.trace(out, axis1=-2, axis2=-1))[..., None, None]
+        if tr.max() < PROB_FLOOR:
+            raise ValueError("operator annihilated the state everywhere")
+        out = np.where(tr > PROB_FLOOR, out / np.maximum(tr, PROB_FLOOR), 0.0)
+    return out
+
+
+def reference_measurement(state, modes):
+    """(occupations, probability, conditional data or None) per retained outcome."""
+    sub_register, readout = state.register.readout(modes)
+    outcomes = []
+    for occ_m, group in readout:
+        if state.is_pure:
+            sub = state.data[..., group]
+            prob = np.sum(np.abs(sub) ** 2, axis=-1)
+        else:
+            sub = state.data[..., group[:, None], group[None, :]]
+            prob = np.real(np.trace(sub, axis1=-2, axis2=-1))
+        if prob.max() < PROB_FLOOR:
+            continue
+        if sub_register is None:
+            cond = None
+        elif state.is_pure:
+            norm = np.sqrt(prob)[..., None]
+            cond = np.where(norm > PROB_FLOOR, sub / np.maximum(norm, PROB_FLOOR), 0.0)
+        else:
+            p = prob[..., None, None]
+            cond = np.where(p > PROB_FLOOR, sub / np.maximum(p, PROB_FLOOR), 0.0)
+        outcomes.append((occ_m, prob, cond))
+    return outcomes
+
+
+def reference_symbols(x, y):
+    if x.register != y.register:
+        raise ValueError("states live on different registers")
+    grids, _ = _merge_grids(x.grids, x.fourier_order, y.grids, y.fourier_order)
+    return grids, tuple(g.symbol for g in grids)
+
+
+def reference_fidelity(x, y):
+    grids, symbols = reference_symbols(x, y)
+    if x.is_pure and y.is_pure:
+        xd = _expand_axes(x.data, x.phase_symbols, symbols)
+        yd = _expand_axes(y.data, y.phase_symbols, symbols)
+        overlap = np.einsum("...i,...i->...", xd.conj(), yd)
+        return _maybe_scalar(np.abs(overlap) ** 2, bool(grids))
+    if x.is_pure or y.is_pure:
+        pure, mixed = (x, y) if x.is_pure else (y, x)
+        pd = _expand_axes(pure.data, pure.phase_symbols, symbols)
+        md = _expand_axes(mixed.data, mixed.phase_symbols, symbols)
+        value = np.real(np.einsum("...i,...ij,...j->...", pd.conj(), md, pd))
+        return _maybe_scalar(value, bool(grids))
+    xd = _expand_axes(x.data, x.phase_symbols, symbols)
+    yd = _expand_axes(y.data, y.phase_symbols, symbols)
+    xd, yd = np.broadcast_arrays(xd, yd)
+    root = _psd_sqrt(xd)
+    inner = np.einsum("...ij,...jk,...kl->...il", root, yd, root)
+    w = np.linalg.eigvalsh(inner)
+    value = np.sum(np.sqrt(_clip_spectrum(w)), axis=-1) ** 2
+    return _maybe_scalar(value, bool(grids))
+
+
+def reference_trace_distance(x, y):
+    grids, symbols = reference_symbols(x, y)
+    xd = _expand_axes(x.density_data(), x.phase_symbols, symbols)
+    yd = _expand_axes(y.density_data(), y.phase_symbols, symbols)
+    w = np.linalg.eigvalsh(xd - yd)
+    return _maybe_scalar(0.5 * np.sum(np.abs(w), axis=-1), bool(grids))
+
+
+def assert_same_array(got, want):
+    assert got.shape == want.shape and got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_value(got, want):
+    if isinstance(want, float):
+        assert isinstance(got, float) and got.hex() == want.hex()
+    else:
+        assert_same_array(got, want)
+
+
+def outcome_of(call):
+    """``call()``'s result, or the message of the ValueError it raised."""
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+# Branch (0,) has probability 3.1e-33 at some grid points, where it is stored as zero.
+@example(
+    case=(
+        (2, [4, 4], False, [("rotation", (0,), 1.0, 1), ("rotation", (0,), 1.0, 0)], 0),
+        ["m0"],
+        ["m1"],
+    ),
+    mixed=False,
+    basis_start=True,
+)
+@settings(max_examples=25, deadline=None)
+@given(case=measured_circuits(), mixed=st.booleans(), basis_start=st.booleans())
+def test_branch_and_metric_rules_match_their_references_bit_for_bit(case, mixed, basis_start):
+    (n_modes, points, start_gridded, gates, seed), measured, kept = case
+    rng = np.random.default_rng(seed)
+    register = qubit_register(n_modes)
+    grids = [PhaseGrid(s, m) for s, m in zip(SYMBOLS, points)]
+    start = grids[:1] if start_gridded else []
+    # A number eigenstate start leaves some branches impossible at some grid points.
+    if basis_start:
+        state = basis_state(register, rng.integers(0, 2, n_modes))
+        if start:
+            constant = np.broadcast_to(state.data, (points[0], register.dim)).copy()
+            state = QuantumState(register, constant, grids=start, fourier_order=[0])
+    else:
+        state = random_start(register, start, rng)
+    if mixed:
+        other = random_start(register, start, rng)
+        rho = 0.75 * state.density_data() + 0.25 * other.density_data()
+        state = QuantumState(register, rho, grids=start, fourier_order=[0] * len(start))
+
+    states = [state]
+    for spec in gates:
+        gate = build_gate(register, grids, spec)
+        # Non-unitary operators: an annihilator, which may empty some or all
+        # grid points, and the gate scaled by one half.
+        lowering = ladder_operator(register, f"m{rng.integers(n_modes)}", "annihilate")
+        halved = LinearOperator(
+            gate.register, 0.5 * gate.matrix, grids=gate.grids, fourier_order=gate.fourier_order
+        )
+        for op in (lowering, halved):
+            got = outcome_of(lambda: embed_and_apply(state, op, renormalize=True))
+            want = outcome_of(lambda: reference_renormalized_apply(state, op))
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert_same_array(got.data, want)
+        state = embed_and_apply(state, gate)
+        states.append(state)
+
+    result = measure_number(state, measured)
+    reference = reference_measurement(state, measured)
+    assert [o.occupations for o in result] == [occ for occ, _, _ in reference]
+    for outcome, (_, prob, cond) in zip(result, reference):
+        assert_same_array(outcome.probability, prob)
+        assert_same_array(outcome.state.data, cond)
+
+    # Pairs with different symbol sets, pure and density in each slot.  Two
+    # density matrices go through Uhlmann's fidelity, a quartic einsum, only
+    # on at most three kept modes.
+    first, last = states[0], states[-1]
+    reduced = tuple(partial_trace(s, kept[:3]) for s in (first, last))
+    pairs = [(first, first), (first, last), (last, first)]
+    pairs += [(last, first.to_density()), (first.to_density(), last)]
+    for x, y in pairs + [reduced, reduced[::-1]]:
+        if x.is_pure or y.is_pure or x.register.dim <= 8:
+            assert_same_value(fidelity(x, y), reference_fidelity(x, y))
+        assert_same_value(trace_distance(x, y), reference_trace_distance(x, y))
+
+
+def test_renormalize_refuses_by_the_norm_not_its_square():
+    # The annihilator leaves norm 1e-10, over PROB_FLOOR, though its square is not.
+    register = qubit_register(1)
+    state = QuantumState(register, [np.sqrt(1.0 - 1e-20), 1e-10])
+    out = embed_and_apply(state, ladder_operator(register, "m0", "annihilate"), renormalize=True)
+    assert out.data.tolist() == [1.0, 0.0]
+    rho = QuantumState(register, np.diag([1.0 - 1e-20, 1e-20]))
+    with pytest.raises(ValueError, match="annihilated the state everywhere"):
+        embed_and_apply(rho, ladder_operator(register, "m0", "annihilate"), renormalize=True)
