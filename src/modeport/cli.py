@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fock import BYTES_BUDGET, MAX_REGISTER_DIM, check_register_size
+from .fock import BYTES_BUDGET, MAX_REGISTER_DIM
 from .hamiltonian import (
     MAX_SWAP_RATIO,
     hardcore_limit_scan,
@@ -221,7 +221,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         raise SystemExit(2)
     if config.command == "reservoir":  # refused before allocating; the largest nbar is last
         try:
-            check_register_size([dim for _, dim in rotation_modes(config.nbars[-1])])
+            rotation_modes(config.nbars[-1])
         except ValueError as exc:
             print(f"modeport: --nbars {config.nbars[-1]:g}: {exc}", file=sys.stderr)
             raise SystemExit(2) from None

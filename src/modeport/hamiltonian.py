@@ -23,11 +23,12 @@ point's pulse depends only on U/J or nbar, so each is built once per process
 and shared read-only from the package's one operator cache
 (:func:`~modeport.fock.shared_operator`), the cache that also holds the gates;
 a pulse on more than ``OPERATOR_CACHE_DIM`` states is built anew on every call.
-The hard-core scan reads each ratio's four swap amplitudes straight from its
-cached pulse's sector blocks and optimizes the local phases of all ratios in
+The hard-core scan reads each ratio's four swap amplitudes by basis index from
+its cached pulse's dense view and optimizes the local phases of all ratios in
 one lockstep search, bit for bit the values of a search run one ratio at a
 time; a ratio past ``MAX_SWAP_RATIO``, where the pulse's phases overflow, is
-refused before its pulse is built.  The reservoir scan builds its ideal
+refused before its pulse is built.  The reservoir scan refuses a largest
+register past ``MAX_REGISTER_DIM`` before it builds anything, builds its ideal
 outputs once, and :func:`rotation_deviation` is its one-point case.
 """
 
@@ -50,6 +51,7 @@ from .fock import (
     _apply_blocks,
     _max_offsector_entry,
     build_register,
+    check_register_size,
     embed_and_apply,
     partial_trace,
     shared_operator,
@@ -257,23 +259,11 @@ _SWAP_TARGETS = {
 }
 
 
-def _swap_entries() -> list[tuple[int, int, int, int, float]]:
-    """Where each target amplitude <out|P|in> of :data:`_SWAP_TARGETS` sits in
-    the pulse's blocks: (block, sector, row of out, column of in, sign)."""
-    where = {
-        int(i): (b, s, pos)
-        for b, idx in enumerate(_SWAP_REGISTER.sectors)
-        for (s, pos), i in np.ndenumerate(idx)
-    }
-    entries = []
-    for occ_in, (occ_out, sign) in _SWAP_TARGETS.items():
-        b, s, col = where[_SWAP_REGISTER.index_of(occ_in)]
-        row = where[_SWAP_REGISTER.index_of(occ_out)][2]
-        entries.append((b, s, row, col, sign))
-    return entries
-
-
-_SWAP_ENTRIES = _swap_entries()
+# Each target amplitude <out|P|in> as (index of in, index of out, sign).
+_SWAP_ENTRIES = [
+    (_SWAP_REGISTER.index_of(occ_in), _SWAP_REGISTER.index_of(occ_out), sign)
+    for occ_in, (occ_out, sign) in _SWAP_TARGETS.items()
+]
 # The pulse's largest eigenphase is t = pi/2 times its top energy: the on-site
 # 4 U/J of |2,2> plus at most 2 from the hop (J = 2).  Past this ratio the
 # phase overflows and the pulse turns NaN.
@@ -299,8 +289,8 @@ def _swap_fidelities(ratios: Sequence[float]) -> list[float]:
     """:func:`swap_process_fidelity` at each ratio, one lockstep phase search."""
     amplitudes = []
     for ratio in ratios:
-        blocks = shared_operator(_swap_pulse, ratio).blocks
-        amplitudes.append([sign * blocks[b][s, row, col] for b, s, row, col, sign in _SWAP_ENTRIES])
+        matrix = shared_operator(_swap_pulse, ratio).matrix
+        amplitudes.append([sign * matrix[out, i] for i, out, sign in _SWAP_ENTRIES])
     return [(best / 4.0) ** 2 for best in _max_abs_over_local_phases(amplitudes)]
 
 
@@ -311,7 +301,7 @@ def swap_process_fidelity(u_over_j: float) -> float:
     repulsion U for a half period of the single-particle exchange (hopping
     matrix element g, pulse time pi / (2 g); the Hamiltonian carries the
     tunneling energy as the A-B hop J = 2 g).  The evolved qubit-subspace amplitudes,
-    read straight from the cached pulse's sector blocks, are compared with
+    read by basis index from the cached pulse, are compared with
     the fermionic swap truth table after optimizing the three free local
     phases:
 
@@ -343,8 +333,10 @@ def hardcore_limit_scan(
 
 
 def rotation_modes(nbar: float) -> list[tuple[str, int]]:
-    """:func:`rotation_deviation`'s modes, a qubit probe and the reservoir; no allocation."""
-    return [("probe", 2), ("res", ReservoirSpec("res", nbar).cutoff)]
+    """:func:`rotation_deviation`'s modes; ValueError past ``MAX_REGISTER_DIM``, no allocation."""
+    modes = [("probe", 2), ("res", ReservoirSpec("res", nbar).cutoff)]
+    check_register_size([dim for _, dim in modes])
+    return modes
 
 
 def _rotation_pulse(nbar: float) -> LinearOperator:
@@ -359,7 +351,8 @@ def _rotation_pulse(nbar: float) -> LinearOperator:
 
 def _rotation_point(nbar: float, theta: float, targets: list[QuantumState]) -> float:
     """One point of :func:`reservoir_resolved_rotation`; its arrays die on return."""
-    # First, so that a bad nbar or theta is refused before anything is allocated.
+    # First, so that a bad nbar or theta is refused before the pulse is built; an
+    # oversized register was refused by the scan before anything was allocated.
     res_state, _ = coherent_state(ReservoirSpec("res", nbar), theta)
     pulse = shared_operator(_rotation_pulse, nbar)
     if not targets:  # the scan's ideal outputs for inputs |0> and |1>, once theta is accepted
@@ -390,15 +383,16 @@ def reservoir_resolved_rotation(
     sqrt(nbar)).  The reservoir is traced out and the outputs for inputs |0>
     and |1> are compared (trace distance) against the ideal rotation of
     :func:`number_rotation_matrix` at theta' = pi/4; the worst of the two is
-    the deviation.  ``nbars`` must be positive and ascending, and ``theta``
-    finite.  The deviation shrinks as the mean occupation grows, which is the
-    executable form of the large-reservoir assumption behind the idealized
-    number rotation.
+    the deviation.  ``nbars`` must be positive and ascending, their largest
+    register within ``MAX_REGISTER_DIM``, and ``theta`` finite.  The deviation
+    shrinks as the mean occupation grows, which is the executable form of the
+    large-reservoir assumption behind the idealized number rotation.
 
     The ideal rotation is generated by the exchange +|Omega|/2 (a^+ r +
     r^+ a); the Hamiltonian builder carries a hop as -J/2 (...), so the
     scan passes the (probe, res) hop J = -Omega.
     """
     values = _scan_points(nbars, "nbar values")
+    rotation_modes(values[-1])  # the largest register, refused before anything is built
     targets: list[QuantumState] = []
     return [(n, _rotation_point(n, theta, targets)) for n in values]

@@ -99,10 +99,12 @@ def coherent_state(spec: ReservoirSpec, theta: float) -> tuple[QuantumState, flo
     Amplitudes are exp(-nbar/2) * (sqrt(nbar) e^{i theta})**n / sqrt(n!) on
     occupations 0 .. cutoff - 1, renormalized.  Returns the state together
     with the norm deficit of the truncated expansion before renormalization.
-    ``theta`` must be finite.
+    ``theta`` must be finite; it is reduced to atan2(sin theta, cos theta), as
+    exp(i theta) is, so rounding theta * n cannot scramble a large theta's phases.
     """
     if not math.isfinite(theta):
         raise ValueError(f"reservoir phase theta {theta!r} must be finite")
+    theta = math.atan2(math.sin(theta), math.cos(theta))
     # Built first, so a cutoff past MAX_REGISTER_DIM is refused before any allocation.
     register = ModeRegister([(spec.label, spec.cutoff)])
     n = np.arange(spec.cutoff)

@@ -555,7 +555,7 @@ class TestPhaseSearch:
         for occ_in, (occ_out, sign) in hamiltonian._SWAP_TARGETS.items():
             evolved = fock.embed_and_apply(basis_state(hamiltonian._SWAP_REGISTER, occ_in), pulse)
             amps.append(sign * evolved.data[hamiltonian._SWAP_REGISTER.index_of(occ_out)])
-        read = [sign * pulse.blocks[b][s, row, col] for b, s, row, col, sign in hamiltonian._SWAP_ENTRIES]
+        read = [sign * pulse.matrix[out, i] for i, out, sign in hamiltonian._SWAP_ENTRIES]
         hexes = [[(v.real.hex(), v.imag.hex()) for v in vs] for vs in (amps, read)]
         assert hexes[0] == hexes[1]  # signed zeros included
         fidelity = (one_point_phase_search(*amps) / 4.0) ** 2

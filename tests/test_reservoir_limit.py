@@ -6,9 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from modeport import hamiltonian
 from modeport.cli import main
 from modeport.fock import MAX_REGISTER_DIM, ModeRegister, check_register_size
-from modeport.hamiltonian import rotation_deviation, rotation_modes
+from modeport.hamiltonian import reservoir_resolved_rotation, rotation_deviation, rotation_modes
 from modeport.reservoir import ReservoirSpec, coherent_state
 
 # `modeport reservoir --nbars 1,2,4,8,16,32,64,128,256,400,1024`, byte for byte,
@@ -55,6 +56,12 @@ class TestLargeReservoir:
         # The deviation falls as c / nbar with c = 0.5073 in the large-reservoir limit.
         assert 0.5072 <= rotation_deviation(1e4, 0.0) * 1e4 <= 0.5074
 
+    @pytest.mark.parametrize("theta", [1e300, 1.2345678901234567e15, 1.2345678901234567e20, 3.5, -7.0])
+    def test_large_theta_reduced_like_the_target(self, theta):
+        # The reservoir phase follows exp(i theta), as the ideal rotation does,
+        # so the deviation does not depend on theta however large it is.
+        assert rotation_deviation(4.0, theta) == pytest.approx(rotation_deviation(4.0, 0.0), rel=1e-12)
+
     def test_wide_scan_csv_bytes(self, tmp_path):
         out = tmp_path / "scan.csv"
         nbars = "1,2,4,8,16,32,64,128,256,400,1024"
@@ -80,6 +87,25 @@ class TestSizeBound:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_probe_and_reservoir_register_refused_before_building(self, monkeypatch):
+        # At nbar = 3e6 the reservoir mode alone fits, but the (probe, res) register does not.
+        assert ReservoirSpec("res", 3e6).cutoff <= MAX_REGISTER_DIM
+        with pytest.raises(ValueError, match="states, over 4194304"):
+            rotation_modes(3e6)
+        calls = []
+        for name in ("coherent_state", "_rotation_pulse"):
+            monkeypatch.setattr(hamiltonian, name, lambda *args, name=name: calls.append(name))
+        for scan in (lambda: rotation_deviation(3e6), lambda: reservoir_resolved_rotation([4.0, 3e6])):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="states, over 4194304"):
+                    scan()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
+        assert calls == []
 
     def test_cli_refuses_nbar_1e12_with_one_line(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"
