@@ -197,7 +197,9 @@ class PhaseGrid:
 def _sort_grids(
     grids: Sequence[PhaseGrid], fourier_order: Sequence[int]
 ) -> tuple[tuple[PhaseGrid, ...], tuple[int, ...]]:
-    grids = tuple(grids)
+    grids, fourier_order = tuple(grids), tuple(fourier_order)
+    if not grids and not fourier_order:
+        return grids, fourier_order
     symbols = [g.symbol for g in grids]
     if len(set(symbols)) != len(symbols):
         raise ValueError(f"repeated phase symbol in {symbols}")
@@ -215,6 +217,8 @@ def _merge_grids(
     b_orders: Sequence[int],
 ) -> tuple[tuple[PhaseGrid, ...], tuple[int, ...]]:
     """Union of two sorted grid sets; Fourier orders add per shared symbol."""
+    if not a_grids or not b_grids:
+        return (tuple(a_grids), tuple(a_orders)) if a_grids else (tuple(b_grids), tuple(b_orders))
     by_symbol: dict[str, PhaseGrid] = {}
     orders: dict[str, int] = {}
     for grid, order in list(zip(a_grids, a_orders)) + list(zip(b_grids, b_orders)):
@@ -289,14 +293,15 @@ class QuantumState:
     ):
         self.register = register
         self.grids, self.fourier_order = _sort_grids(grids, fourier_order)
+        self.phase_symbols = tuple(g.symbol for g in self.grids)
+        self.grid_shape = grid_shape = tuple(g.n_points for g in self.grids)
         data = np.asarray(data, dtype=np.complex128)
-        grid_shape = tuple(g.n_points for g in self.grids)
         n_grid = len(grid_shape)
         if data.ndim == n_grid + 1:
-            self._pure = True
+            self.is_pure = True
             expected = grid_shape + (register.dim,)
         elif data.ndim == n_grid + 2:
-            self._pure = False
+            self.is_pure = False
             expected = grid_shape + (register.dim, register.dim)
         else:
             raise ValueError(
@@ -306,33 +311,20 @@ class QuantumState:
         if data.shape != expected:
             raise ValueError(f"state data has shape {data.shape}, expected {expected}")
         self.data = data
+        self._norms = None
         if validate:
             self._validate()
-
-    # -- structure ---------------------------------------------------------
-
-    @property
-    def is_pure(self) -> bool:
-        return self._pure
-
-    @property
-    def phase_symbols(self) -> tuple[str, ...]:
-        return tuple(g.symbol for g in self.grids)
-
-    @property
-    def grid_shape(self) -> tuple[int, ...]:
-        return tuple(g.n_points for g in self.grids)
 
     # -- representations ---------------------------------------------------
 
     def density_data(self) -> np.ndarray:
         """Density-matrix array, forming |psi><psi| per grid point if pure."""
-        if self._pure:
+        if self.is_pure:
             return np.einsum("...i,...j->...ij", self.data, self.data.conj())
         return self.data
 
     def to_density(self) -> "QuantumState":
-        if not self._pure:
+        if not self.is_pure:
             return self
         return QuantumState(
             self.register,
@@ -344,12 +336,16 @@ class QuantumState:
         )
 
     def norms(self) -> np.ndarray:
-        """Per-grid-point 2-norm (pure) or trace (density)."""
-        if self._pure:
-            # Real view: each amplitude as (re, im), so the norm is one dot product.
-            parts = np.ascontiguousarray(self.data).view(np.float64)
-            return np.sqrt(np.einsum("...i,...i->...", parts, parts))
-        return np.real(np.trace(self.data, axis1=-2, axis2=-1))
+        """Per-grid-point 2-norm (pure) or trace (density), computed on the
+        first call and kept: the array is shared, so do not modify it."""
+        if self._norms is None:
+            if self.is_pure:
+                # Real view: each amplitude as (re, im), so the norm is one dot product.
+                parts = np.ascontiguousarray(self.data).view(np.float64)
+                self._norms = np.sqrt(np.einsum("...i,...i->...", parts, parts))
+            else:
+                self._norms = self.data.trace(axis1=-2, axis2=-1).real
+        return self._norms
 
     # -- validation --------------------------------------------------------
 
@@ -357,17 +353,17 @@ class QuantumState:
         # Each test reads "not (dev <= tol)", so a NaN deviation fails it.
         # A norm is >= 0 or NaN; a trace is negative when rho is not PSD.
         values = self.norms()
-        off = np.minimum(np.abs(values - 1.0), values if self._pure else np.abs(values)).max()
-        what = "norm" if self._pure else "trace"
-        if not off <= (NORM_ATOL if self._pure else TRACE_ATOL):
+        off = np.minimum(np.abs(values - 1.0), values if self.is_pure else np.abs(values)).max()
+        what = "norm" if self.is_pure else "trace"
+        if not off <= (NORM_ATOL if self.is_pure else TRACE_ATOL):
             raise ValueError(
                 f"state {what} must be 1 (or 0 on an impossible branch) per grid "
                 f"point; worst deviation {off:.3e}"
             )
         if values.max() < PROB_FLOOR:
             raise ValueError(f"state {what} is 0 at every grid point")
-        if not self._pure:
-            herm = np.abs(self.data - np.swapaxes(self.data, -1, -2).conj()).max()
+        if not self.is_pure:
+            herm = np.abs(self.data - self.data.swapaxes(-1, -2).conj()).max()
             if not herm <= HERM_ATOL:
                 raise ValueError(f"density matrix not Hermitian: deviation {herm:.3e}")
             # PSD screen: Cholesky of rho + (|MIN_EIGVAL|/2) I succeeds only if
@@ -385,7 +381,7 @@ class QuantumState:
                     ) from None
 
     def __repr__(self) -> str:
-        kind = "pure" if self._pure else "density"
+        kind = "pure" if self.is_pure else "density"
         sym = ",".join(self.phase_symbols) or "-"
         return f"QuantumState({kind}, {self.register!r}, symbols={sym})"
 
@@ -421,7 +417,7 @@ def _max_offsector_entry(matrix: np.ndarray, register: ModeRegister) -> float:
 
 def _require_unitary(matrix: np.ndarray) -> None:
     """Reject a stack of square matrices unless each has max |U+U - I| <= NORM_ATOL."""
-    prod = np.swapaxes(matrix.conj(), -1, -2) @ matrix
+    prod = matrix.conj().swapaxes(-1, -2) @ matrix
     dev = np.abs(prod - np.eye(matrix.shape[-1])).max()
     if not dev <= NORM_ATOL:
         raise ValueError(f"operator is not unitary: max |U+U - I| = {dev:.3e}")
@@ -456,6 +452,7 @@ class LinearOperator:
         self.register = register
         self.kind = kind
         self.grids, self.fourier_order = _sort_grids(grids, fourier_order)
+        self.phase_symbols = tuple(g.symbol for g in self.grids)
         if blocks is not None:
             blocks = tuple(np.asarray(b, dtype=np.complex128) for b in blocks)
             shapes = [(len(idx),) + idx.shape[1:] * 2 for idx in register.sectors]
@@ -479,16 +476,12 @@ class LinearOperator:
             dense[idx[:, :, None], idx[:, None, :]] = block
         return dense
 
-    @property
-    def phase_symbols(self) -> tuple[str, ...]:
-        return tuple(g.symbol for g in self.grids)
-
     def _validate(self) -> None:
         for matrix in self.blocks or (self._matrix,):
             if self.kind == "unitary":
                 _require_unitary(matrix)
             elif self.kind == "hermitian":
-                dev = np.abs(matrix - np.swapaxes(matrix, -1, -2).conj()).max()
+                dev = np.abs(matrix - matrix.swapaxes(-1, -2).conj()).max()
                 if not dev <= HERM_ATOL:
                     raise ValueError(f"operator is not Hermitian: deviation {dev:.3e}")
 
@@ -666,8 +659,8 @@ def _contract(
 def _branch_probability(data: np.ndarray, pure: bool) -> np.ndarray:
     """Per-grid-point squared norm (pure) or trace (density) of a branch."""
     if pure:
-        return np.sum(np.abs(data) ** 2, axis=-1)
-    return np.real(np.trace(data, axis1=-2, axis2=-1))
+        return (np.abs(data) ** 2).sum(axis=-1)
+    return data.trace(axis1=-2, axis2=-1).real
 
 
 def _normalized_branch(data: np.ndarray, prob: np.ndarray, pure: bool) -> np.ndarray:
@@ -698,10 +691,10 @@ def embed_and_apply(
         state.grids, state.fourier_order, op.grids, op.fourier_order
     )
     symbols = tuple(g.symbol for g in grids)
-    data = state.data if state.is_pure else np.swapaxes(state.data, -1, -2)
+    data = state.data if state.is_pure else state.data.swapaxes(-1, -2)
     out = _contract(op, data, register, state.phase_symbols, symbols)
     if not state.is_pure:
-        out = _contract(op, np.swapaxes(out, -1, -2), register, symbols, symbols, conj=True)
+        out = _contract(op, out.swapaxes(-1, -2), register, symbols, symbols, conj=True)
     if renormalize:
         prob = _branch_probability(out, state.is_pure)
         if (np.sqrt(prob) if state.is_pure else prob).max() < PROB_FLOOR:
@@ -734,7 +727,7 @@ def partial_trace(state: QuantumState, keep: Sequence[str]) -> QuantumState:
         x = split.transpose([n_grid + p for p in order] + list(range(n_grid)))
         x = x.reshape(register.dim // sub.dim, sub.dim, -1)
         reduced = np.einsum("rig,rjg->ijg", x, x.conj())
-        reduced = np.ascontiguousarray(np.moveaxis(reduced, -1, 0))
+        reduced = np.ascontiguousarray(reduced.transpose(2, 0, 1))
         reduced = reduced.reshape(state.grid_shape + (sub.dim, sub.dim))
     else:
         data = _permute_modes(state.data, register.dims, order, 2)
@@ -764,9 +757,10 @@ def phase_average(
     weighted matrix is a block of the pre-measurement density matrix, so
     this average is exact too.
 
-    The mean is one call over all averaged axes.  It sums in an order set by
-    the state's memory layout, not only its values, so re-laying out the
-    data or averaging one axis at a time moves bits.
+    The mean is one sum over all averaged axes, divided by their point
+    count, as ``np.mean`` computes it.  The sum runs in an order set by the
+    state's memory layout, not only its values, so re-laying out the data or
+    averaging one axis at a time moves bits.
     """
     symbols = state.phase_symbols if symbols is None else tuple(symbols)
     for symbol in symbols:
@@ -780,15 +774,16 @@ def phase_average(
         [state.grids[i] for i in axes], [state.fourier_order[i] for i in axes]
     )
     rho = state.density_data()
+    count = math.prod(state.grid_shape[i] for i in axes)
     if probability is None:
-        avg = rho.mean(axis=axes)
+        avg = rho.sum(axis=axes) / count
     else:
         if kept:
             raise ValueError("a branch probability is averaged over every phase grid")
-        mean_p = float(np.mean(probability))
+        mean_p = float(probability.sum() / probability.size)
         if mean_p < PROB_FLOOR:
             raise ValueError("outcome has vanishing phase-averaged probability")
-        avg = (probability[..., None, None] * rho).mean(axis=axes) / mean_p
+        avg = (probability[..., None, None] * rho).sum(axis=axes) / count / mean_p
     return QuantumState(
         state.register,
         avg,
@@ -826,7 +821,7 @@ class MeasurementOutcome:
         """Probability averaged uniformly over the phase grids."""
         if self.grids:
             _require_exact_average(self.grids, self.fourier_order)
-        return float(np.mean(self.probability))
+        return float(self.probability.sum() / self.probability.size)
 
     def phase_averaged_state(self) -> QuantumState | None:
         """Conditional state of the phase-averaged ensemble (see :func:`phase_average`)."""
@@ -906,6 +901,8 @@ def _aligned(x: QuantumState, y: QuantumState, xd: np.ndarray, yd: np.ndarray):
     they broadcast by symbol, and whether the pair carries any phase grid."""
     if x.register != y.register:
         raise ValueError("states live on different registers")
+    if not x.grids and not y.grids:
+        return xd, yd, False
     grids, _ = _merge_grids(x.grids, x.fourier_order, y.grids, y.fourier_order)
     symbols = tuple(g.symbol for g in grids)
     xd = _expand_axes(xd, x.phase_symbols, symbols)
@@ -913,10 +910,7 @@ def _aligned(x: QuantumState, y: QuantumState, xd: np.ndarray, yd: np.ndarray):
 
 
 def _maybe_scalar(value: np.ndarray, gridded: bool):
-    arr = np.asarray(value)
-    if not gridded:
-        return float(arr)
-    return arr
+    return np.asarray(value) if gridded else float(value)
 
 
 def _clip_spectrum(w: np.ndarray) -> np.ndarray:
@@ -948,13 +942,13 @@ def fidelity(x: QuantumState, y: QuantumState):
         return _maybe_scalar(np.abs(overlap) ** 2, gridded)
     if x.is_pure or y.is_pure:
         pd, md = (xd, yd) if x.is_pure else (yd, xd)
-        value = np.real(np.einsum("...i,...ij,...j->...", pd.conj(), md, pd))
+        value = np.einsum("...i,...ij,...j->...", pd.conj(), md, pd).real
         return _maybe_scalar(value, gridded)
     xd, yd = np.broadcast_arrays(xd, yd)
     root = _psd_sqrt(xd)
     inner = np.einsum("...ij,...jk,...kl->...il", root, yd, root)
     w = np.linalg.eigvalsh(inner)
-    value = np.sum(np.sqrt(_clip_spectrum(w)), axis=-1) ** 2
+    value = np.sqrt(_clip_spectrum(w)).sum(axis=-1) ** 2
     return _maybe_scalar(value, gridded)
 
 
@@ -962,7 +956,7 @@ def trace_distance(x: QuantumState, y: QuantumState):
     """Trace distance (1/2)*tr|x - y|, per grid point when symbols are present."""
     xd, yd, gridded = _aligned(x, y, x.density_data(), y.density_data())
     w = np.linalg.eigvalsh(xd - yd)
-    return _maybe_scalar(0.5 * np.sum(np.abs(w), axis=-1), gridded)
+    return _maybe_scalar(0.5 * np.abs(w).sum(axis=-1), gridded)
 
 
 def entanglement_entropy(state: QuantumState, keep: Sequence[str]):
@@ -976,5 +970,5 @@ def entanglement_entropy(state: QuantumState, keep: Sequence[str]):
     w = np.linalg.eigvalsh(reduced.data)
     w = np.clip(w, 0.0, None)
     logs = np.log2(np.clip(w, 1e-15, None))
-    value = -np.sum(w * logs, axis=-1)
+    value = -(w * logs).sum(axis=-1)
     return _maybe_scalar(value, bool(state.grids))

@@ -27,7 +27,7 @@ The hard-core scan reads each ratio's four swap amplitudes by basis index from
 its cached pulse's dense view and optimizes the local phases of all ratios in
 one lockstep search, bit for bit the values of a search run one ratio at a
 time; a ratio past ``MAX_SWAP_RATIO``, where the pulse's phases overflow, is
-refused before its pulse is built.  The reservoir scan refuses a largest
+refused before any pulse is built.  The reservoir scan refuses a largest
 register past ``MAX_REGISTER_DIM`` before it builds anything, builds its ideal
 outputs once, and :func:`rotation_deviation` is its one-point case.
 """
@@ -180,7 +180,7 @@ def evolve(state: QuantumState, hamiltonian: LinearOperator, t: float) -> Quantu
 def _scan_points(values: Sequence[float], name: str) -> list[float]:
     """``values`` as floats; ValueError unless they are positive and ascending."""
     points = [float(v) for v in values]
-    if any(p <= 0 for p in points):
+    if not all(p > 0 for p in points):  # a NaN is not positive
         raise ValueError(f"{name} must be positive")
     if sorted(points) != points:
         raise ValueError(f"{name} must be ascending")
@@ -272,11 +272,6 @@ MAX_SWAP_RATIO = (sys.float_info.max / (np.pi / 2.0) - 2.0) / 4.0
 
 def _swap_pulse(u_over_j: float) -> LinearOperator:
     """:func:`swap_process_fidelity`'s half-period pulse at ``u_over_j``."""
-    if not abs(u_over_j) <= MAX_SWAP_RATIO:
-        raise ValueError(
-            f"U/J {u_over_j!r} is not finite or past {MAX_SWAP_RATIO!r}, "
-            "where the swap pulse's phases overflow"
-        )
     g = 1.0
     params = HamiltonianParams(
         hops={("A", "B"): 2.0 * g}, u={"A": u_over_j * g, "B": u_over_j * g}
@@ -286,7 +281,13 @@ def _swap_pulse(u_over_j: float) -> LinearOperator:
 
 
 def _swap_fidelities(ratios: Sequence[float]) -> list[float]:
-    """:func:`swap_process_fidelity` at each ratio, one lockstep phase search."""
+    """:func:`swap_process_fidelity` per ratio, all checked before any build; one phase search."""
+    for ratio in ratios:
+        if not abs(ratio) <= MAX_SWAP_RATIO:
+            raise ValueError(
+                f"U/J {ratio!r} is not finite or past {MAX_SWAP_RATIO!r}, "
+                "where the swap pulse's phases overflow"
+            )
     amplitudes = []
     for ratio in ratios:
         matrix = shared_operator(_swap_pulse, ratio).matrix

@@ -112,7 +112,7 @@ def coherent_state(spec: ReservoirSpec, theta: float) -> tuple[QuantumState, flo
     log_mag = -spec.nbar / 2.0 + 0.5 * n * math.log(spec.nbar)
     log_mag -= 0.5 * np.fromiter(map(math.lgamma, (n + 1.0).tolist()), np.float64, n.size)
     amps = np.exp(log_mag) * np.exp(1j * theta * n)
-    norm_sq = float(np.sum(np.abs(amps) ** 2))
+    norm_sq = float((np.abs(amps) ** 2).sum())
     deficit = 1.0 - norm_sq
     state = QuantumState(register, amps / math.sqrt(norm_sq))
     return state, deficit

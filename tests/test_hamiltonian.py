@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 import warnings
 import weakref
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -765,6 +766,27 @@ class TestPulseCache:
             for nbar in (nan, 0.0, -4.0):
                 with pytest.raises(ValueError, match="positive"):
                     rotation_deviation(nbar)
+
+    def test_bad_scan_point_refused_before_any_pulse_or_coherent_state(self, monkeypatch):
+        monkeypatch.setattr(fock, "_operators", OrderedDict())  # no pulse comes cached
+        calls = []
+        for name in ("_swap_pulse", "_rotation_pulse", "coherent_state"):
+
+            def recorder(*args, name=name, build=getattr(hamiltonian, name)):
+                calls.append((name, args))
+                return build(*args)
+
+            monkeypatch.setattr(hamiltonian, name, recorder)
+        nan = float("nan")
+        cases = [
+            (hardcore_limit_scan, [1.5, 1e308], "U/J 1e+308 is not finite or past"),
+            (hardcore_limit_scan, [1.25, nan, 2.0], "interaction ratios must be positive"),
+            (reservoir_resolved_rotation, [5.0, nan, 16.0], "nbar values must be positive"),
+        ]
+        for scan, points, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                scan(points)
+        assert calls == []
 
     def test_gates_and_pulses_share_one_bound(self, built):
         first = swap_process_fidelity(3.0)

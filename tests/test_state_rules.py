@@ -3,7 +3,9 @@
 Each reference below is the rule as it was written inline, once per caller,
 before the callers shared one helper: branch normalisation in
 ``embed_and_apply(renormalize=True)`` and ``measure_number``, and grid
-alignment in ``fidelity`` and ``trace_distance``.  Random pure and density
+alignment in ``fidelity`` and ``trace_distance``.  The grid mean is checked
+against ``np.mean``, whose sum-then-divide it spells out, and the kept norms
+and grid bookkeeping against fresh computations.  Random pure and density
 circuits go through both; arrays must match in bytes and memory layout, and
 scalars in their hex digits.
 """
@@ -24,17 +26,20 @@ from modeport.fock import (
     _maybe_scalar,
     _merge_grids,
     _psd_sqrt,
+    _sort_grids,
     basis_state,
     embed_and_apply,
     fidelity,
     ladder_operator,
     measure_number,
     partial_trace,
+    phase_average,
     trace_distance,
 )
 from test_gate_properties import (
     SYMBOLS,
     build_gate,
+    circuits,
     measured_circuits,
     qubit_register,
     random_start,
@@ -224,3 +229,130 @@ def test_renormalize_refuses_by_the_norm_not_its_square():
     rho = QuantumState(register, np.diag([1.0 - 1e-20, 1e-20]))
     with pytest.raises(ValueError, match="annihilated the state everywhere"):
         embed_and_apply(rho, ladder_operator(register, "m0", "annihilate"), renormalize=True)
+
+
+def reference_phase_average(state, probability=None, symbols=None):
+    """The grid mean as ``np.mean`` computes it, weighted by ``probability`` if given."""
+    rho = state.density_data()
+    if not state.grids:
+        return rho
+    symbols = state.phase_symbols if symbols is None else symbols
+    axes = tuple(state.phase_symbols.index(s) for s in symbols)
+    if probability is None:
+        return rho.mean(axis=axes)
+    return (probability[..., None, None] * rho).mean(axis=axes) / float(np.mean(probability))
+
+
+def reference_norms(state):
+    if state.is_pure:
+        parts = np.ascontiguousarray(state.data).view(np.float64)
+        return np.sqrt(np.einsum("...i,...i->...", parts, parts))
+    return np.real(np.trace(state.data, axis1=-2, axis2=-1))
+
+
+def circuit_state(circuit, mixed, grid_free):
+    """The circuit's final state, as a density matrix if ``mixed``, at its first
+    grid point if ``grid_free``, with Fourier order 0 so any grid averages."""
+    n_modes, points, start_gridded, gates, seed = circuit
+    rng = np.random.default_rng(seed)
+    register = qubit_register(n_modes)
+    grids = [PhaseGrid(s, m) for s, m in zip(SYMBOLS, points)]
+    state = random_start(register, grids[:1] if start_gridded else [], rng)
+    for spec in gates:
+        state = embed_and_apply(state, build_gate(register, grids, spec))
+    if mixed:
+        other = random_start(register, state.grids, rng)
+        rho = 0.75 * state.density_data() + 0.25 * other.density_data()
+        state = QuantumState(register, rho, grids=state.grids, fourier_order=state.fourier_order)
+    if grid_free:
+        return QuantumState(register, state.data[(0,) * len(state.grids)])
+    return QuantumState(register, state.data, state.grids, [0] * len(state.grids))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    circuit=circuits(),
+    mixed=st.booleans(),
+    grid_free=st.booleans(),
+    subset=st.lists(st.booleans(), min_size=3, max_size=3),
+)
+def test_grid_means_equal_np_mean_bit_for_bit(circuit, mixed, grid_free, subset):
+    state = circuit_state(circuit, mixed, grid_free)
+    symbols = [s for s, pick in zip(state.phase_symbols, subset) if pick]
+    for chosen in (None, symbols):
+        got = phase_average(state, symbols=chosen)
+        assert_same_array(got.data, reference_phase_average(state, symbols=chosen))
+
+    for outcome in measure_number(state, ["m0"]):
+        p = outcome.probability
+        assert_same_value(outcome.mean_probability, float(np.mean(p)))
+        got = outcome_of(lambda: phase_average(outcome.state, p))
+        if isinstance(got, str):
+            assert "vanishing" in got and float(np.mean(p)) < PROB_FLOOR
+        else:
+            assert_same_array(got.data, reference_phase_average(outcome.state, p))
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("gridded", [False, True])
+@pytest.mark.parametrize("validate", [False, True])
+def test_norms_are_kept_and_equal_a_fresh_computation(mixed, gridded, validate):
+    rng = np.random.default_rng(3)
+    register = qubit_register(3)
+    state = random_start(register, [PhaseGrid("theta", 5)] if gridded else [], rng)
+    if mixed:
+        state = state.to_density()
+    state = QuantumState(register, state.data, state.grids, state.fourier_order, validate)
+    first = state.norms()
+    assert state.norms() is first
+    want = np.asarray(reference_norms(state))
+    assert np.asarray(first).dtype == want.dtype and np.asarray(first).tobytes() == want.tobytes()
+
+
+def test_one_norm_computation_serves_validation_and_measurement(monkeypatch):
+    calls = []  # (state, whether this call computed its norms), per norms() call
+    norms = QuantumState.norms
+
+    def spy(self):
+        calls.append((self, self._norms is None))
+        return norms(self)
+
+    monkeypatch.setattr(QuantumState, "norms", spy)
+    register = qubit_register(3)
+    for grids in ([], [PhaseGrid("theta", 4)]):
+        for mixed in (False, True):
+            calls.clear()
+            state = random_start(register, grids, np.random.default_rng(1))
+            state = state.to_density() if mixed else state  # the density one is unvalidated
+            result = measure_number(state, ["m0", "m2"])
+            mine = [fresh for s, fresh in calls if s is state]
+            assert mine == ([True] if mixed else [True, False])
+            # Each conditional state computed its norms once, when it was validated.
+            conditional = [fresh for s, fresh in calls if s.register != register]
+            assert conditional == [True] * len(result)
+
+
+def test_grid_free_sort_returns_at_once_and_a_stray_order_still_raises():
+    assert _sort_grids((), ()) == ((), ())
+    assert _sort_grids([], iter(())) == ((), ())
+    with pytest.raises(ValueError, match="one entry per phase grid"):
+        _sort_grids((), (1,))
+
+
+def reference_union(a_grids, a_orders, b_grids, b_orders):
+    """Grids of both sets by symbol, sorted, with orders added per shared symbol."""
+    union = {}
+    for grid, order in [*zip(a_grids, a_orders), *zip(b_grids, b_orders)]:
+        previous = union.get(grid.symbol, (grid, 0))[1]
+        union[grid.symbol] = (grid, previous + order)
+    merged = [union[s] for s in sorted(union)]
+    return tuple(g for g, _ in merged), tuple(o for _, o in merged)
+
+
+@pytest.mark.parametrize(
+    "grids, orders",
+    [((), ()), ((PhaseGrid("alpha", 3),), (1,)), ((PhaseGrid("a", 4), PhaseGrid("b", 2)), (0, 2))],
+)
+def test_merge_with_an_empty_side_equals_the_reference_union(grids, orders):
+    for args in ((grids, orders, (), ()), ((), (), grids, orders)):
+        assert _merge_grids(*args) == reference_union(*args)
