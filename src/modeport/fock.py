@@ -350,17 +350,23 @@ class QuantumState:
     # -- validation --------------------------------------------------------
 
     def _validate(self) -> None:
-        # Each test reads "not (dev <= tol)", so a NaN deviation fails it.
-        # A norm is >= 0 or NaN; a trace is negative when rho is not PSD.
+        # Each test reads "not (dev <= tol)", so a NaN deviation fails it.  A norm is
+        # >= 0 or NaN, a trace < 0 if rho is not PSD.  Grid-free states are tested on
+        # Python floats, where min keeps a NaN first argument, as np.minimum does.
         values = self.norms()
-        off = np.minimum(np.abs(values - 1.0), values if self.is_pure else np.abs(values)).max()
+        if values.ndim:
+            off = np.minimum(np.abs(values - 1.0), values if self.is_pure else np.abs(values)).max()
+            top = values.max()
+        else:
+            top = float(values)
+            off = min(abs(top - 1.0), top if self.is_pure else abs(top))
         what = "norm" if self.is_pure else "trace"
         if not off <= (NORM_ATOL if self.is_pure else TRACE_ATOL):
             raise ValueError(
                 f"state {what} must be 1 (or 0 on an impossible branch) per grid "
                 f"point; worst deviation {off:.3e}"
             )
-        if values.max() < PROB_FLOOR:
+        if top < PROB_FLOOR:
             raise ValueError(f"state {what} is 0 at every grid point")
         if not self.is_pure:
             herm = np.abs(self.data - self.data.swapaxes(-1, -2).conj()).max()

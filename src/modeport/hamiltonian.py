@@ -27,9 +27,9 @@ The hard-core scan reads each ratio's four swap amplitudes by basis index from
 its cached pulse's dense view and optimizes the local phases of all ratios in
 one lockstep search, bit for bit the values of a search run one ratio at a
 time; a ratio past ``MAX_SWAP_RATIO``, where the pulse's phases overflow, is
-refused before any pulse is built.  The reservoir scan refuses a largest
-register past ``MAX_REGISTER_DIM`` before it builds anything, builds its ideal
-outputs once, and :func:`rotation_deviation` is its one-point case.
+refused before any pulse is built.  The reservoir scan, whose one-point case is
+:func:`rotation_deviation`, refuses a largest register past ``MAX_REGISTER_DIM``
+before it builds anything, and builds its ideal outputs once, as density matrices.
 """
 
 from __future__ import annotations
@@ -358,7 +358,8 @@ def _rotation_point(nbar: float, theta: float, targets: list[QuantumState]) -> f
     pulse = shared_operator(_rotation_pulse, nbar)
     if not targets:  # the scan's ideal outputs for inputs |0> and |1>, once theta is accepted
         ideal = number_rotation_matrix(np.pi / 4, theta)
-        targets += [QuantumState(pulse.register.restricted(["probe"]), ideal[:, k]) for k in (0, 1)]
+        probe = pulse.register.restricted(["probe"])
+        targets += [QuantumState(probe, ideal[:, k]).to_density() for k in (0, 1)]
     amps, worst = res_state.data, 0.0
     for occ, target in enumerate(targets):
         joint = np.zeros(pulse.register.dim, np.complex128)  # |occ> (x) the coherent state
@@ -370,8 +371,7 @@ def _rotation_point(nbar: float, theta: float, targets: list[QuantumState]) -> f
 
 def rotation_deviation(nbar: float, theta: float = 0.0) -> float:
     """:func:`reservoir_resolved_rotation` at the one point ``nbar``."""
-    ((_, deviation),) = reservoir_resolved_rotation([nbar], theta)
-    return deviation
+    return reservoir_resolved_rotation([nbar], theta)[0][1]
 
 
 def reservoir_resolved_rotation(
@@ -394,6 +394,7 @@ def reservoir_resolved_rotation(
     scan passes the (probe, res) hop J = -Omega.
     """
     values = _scan_points(nbars, "nbar values")
-    rotation_modes(values[-1])  # the largest register, refused before anything is built
+    if values:  # the largest register, refused before anything is built
+        rotation_modes(values[-1])
     targets: list[QuantumState] = []
     return [(n, _rotation_point(n, theta, targets)) for n in values]

@@ -626,6 +626,14 @@ class TestReservoirScan:
         assert [d.hex() for _, d in scan] == [d.hex() for d in oracle]
         assert rotation_deviation(nbars[0], theta).hex() == oracle[0].hex()
 
+    def test_warm_scan_equals_per_input_oracle_bit_for_bit(self):
+        nbars = [1e-4, 4.0, 64.0, 256.0]
+        reservoir_resolved_rotation(nbars)  # every magnitude, pulse and register now cached
+        for theta in (0.0, 0.3, 2.0, -1.0, -2.5, 1e15, 0.3):
+            scan = reservoir_resolved_rotation(nbars, theta)
+            oracle = [per_input_rotation_deviation(n, theta) for n in nbars]
+            assert [d.hex() for _, d in scan] == [d.hex() for d in oracle]
+
     def test_pulse_one_block_off_unitary_is_refused(self, monkeypatch):
         nbar = 4.0
         pulse = hamiltonian._rotation_pulse(nbar)
@@ -767,7 +775,9 @@ class TestPulseCache:
                 with pytest.raises(ValueError, match="positive"):
                     rotation_deviation(nbar)
 
-    def test_bad_scan_point_refused_before_any_pulse_or_coherent_state(self, monkeypatch):
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Each pulse build and coherent state the scans ask for from here on, as (name, args)."""
         monkeypatch.setattr(fock, "_operators", OrderedDict())  # no pulse comes cached
         calls = []
         for name in ("_swap_pulse", "_rotation_pulse", "coherent_state"):
@@ -777,6 +787,9 @@ class TestPulseCache:
                 return build(*args)
 
             monkeypatch.setattr(hamiltonian, name, recorder)
+        return calls
+
+    def test_bad_scan_point_refused_before_any_pulse_or_coherent_state(self, calls):
         nan = float("nan")
         cases = [
             (hardcore_limit_scan, [1.5, 1e308], "U/J 1e+308 is not finite or past"),
@@ -786,6 +799,12 @@ class TestPulseCache:
         for scan, points, message in cases:
             with pytest.raises(ValueError, match=re.escape(message)):
                 scan(points)
+        assert calls == []
+
+    def test_empty_scans_return_empty_and_build_nothing(self, calls):
+        assert hardcore_limit_scan([]) == []
+        assert reservoir_resolved_rotation([]) == []
+        assert reservoir_resolved_rotation([], 0.3) == []
         assert calls == []
 
     def test_gates_and_pulses_share_one_bound(self, built):

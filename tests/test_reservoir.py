@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from modeport import fock, reservoir
 from modeport.fock import (
     PhaseGrid,
     QuantumState,
@@ -273,3 +274,88 @@ class TestCoherentState:
         state, deficit = coherent_state(spec, 0.0)
         assert deficit < 1e-10
         assert abs(np.linalg.norm(state.data) - 1.0) < 1e-12
+
+
+def reference_coherent_state(spec, theta):
+    """coherent_state's amplitudes and deficit, built from scratch with its formula."""
+    theta = math.atan2(math.sin(theta), math.cos(theta))
+    n = np.arange(spec.cutoff)
+    log_mag = -spec.nbar / 2.0 + 0.5 * n * math.log(spec.nbar)
+    log_mag -= 0.5 * np.fromiter(map(math.lgamma, (n + 1.0).tolist()), np.float64, n.size)
+    amps = np.exp(log_mag) * np.exp(1j * theta * n)
+    norm_sq = float((np.abs(amps) ** 2).sum())
+    return amps / math.sqrt(norm_sq), 1.0 - norm_sq
+
+
+def assert_matches_reference(spec, theta):
+    state, deficit = coherent_state(spec, theta)
+    amps, expected = reference_coherent_state(spec, theta)
+    assert state.data.tobytes() == amps.tobytes()  # every bit, signed zeros included
+    assert deficit.hex() == expected.hex()
+
+
+def magnitudes_of(spec):
+    return reservoir._magnitudes(fock._exact_key((spec.label, spec.nbar, spec.cutoff)))
+
+
+class TestMagnitudeCache:
+    # 20000 has 21,415 occupations, past OPERATOR_CACHE_DIM, so it is never kept.
+    NBARS = [1e-4, 4.0, 64.0, 256.0, 20000.0]
+    THETAS = [0.0, 0.3, -2.5, 1e300]
+
+    def test_equals_reference_cold_warm_and_alternating(self):
+        reservoir._magnitudes.cache_clear()
+        specs = [ReservoirSpec("res", nbar) for nbar in self.NBARS]
+        for spec in specs:  # the first theta of each spec finds the cache cold
+            for theta in self.THETAS:
+                assert_matches_reference(spec, theta)
+        for theta in reversed(self.THETAS):  # warm, theta by theta
+            for spec in specs:
+                assert_matches_reference(spec, theta)
+        for k in range(12):  # kept and unkept specs in turn, thetas cycling
+            assert_matches_reference(specs[[1, 4, 3, 0][k % 4]], self.THETAS[k % 3])
+        assert reservoir._magnitudes.cache_info().currsize == 4
+
+    def test_cached_arrays_are_read_only_and_not_aliased(self):
+        spec = ReservoirSpec("res", 64.0)
+        states = [coherent_state(spec, theta)[0] for theta in (0.0, 0.0, 1.1)]
+        register, n, magnitudes = magnitudes_of(spec)
+        assert magnitudes_of(spec)[2] is magnitudes
+        assert all(state.register is register for state in states)
+        for array in (n, magnitudes):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+            assert not any(np.shares_memory(state.data, array) for state in states)
+        assert not np.shares_memory(states[0].data, states[1].data)
+
+    def test_spec_past_size_rule_is_not_retained(self):
+        limit = fock.OPERATOR_CACHE_DIM
+        reservoir._magnitudes.cache_clear()
+        assert ReservoirSpec("res", 20000.0).cutoff > limit
+        for spec in (ReservoirSpec("res", 20000.0), ReservoirSpec("res", 4.0, cutoff=limit + 1)):
+            for _ in range(2):
+                assert_matches_reference(spec, 0.3)
+        info = reservoir._magnitudes.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        assert_matches_reference(ReservoirSpec("res", 4.0, cutoff=limit), 0.3)
+        assert reservoir._magnitudes.cache_info().currsize == 1
+
+    def test_cache_holds_at_most_eight_specs(self):
+        reservoir._magnitudes.cache_clear()
+        for k in range(12):
+            coherent_state(ReservoirSpec("res", 1.0 + k), 0.3)
+        assert reservoir._magnitudes.cache_info().currsize == 8
+
+    def test_float32_and_int_nbar_get_their_own_entries(self):
+        reservoir._magnitudes.cache_clear()
+        specs = [
+            ReservoirSpec("res", 4.0),
+            ReservoirSpec("res", np.float32(4.0)),
+            ReservoirSpec("res", 4),
+        ]
+        assert specs[0] == specs[1] == specs[2]  # one entry, had the spec been the key
+        for spec in specs + specs[::-1]:
+            for theta in (0.3, -2.5):
+                assert_matches_reference(spec, theta)
+        assert reservoir._magnitudes.cache_info().currsize == 3

@@ -6,6 +6,7 @@ import pytest
 from modeport.fock import (
     MIN_EIGVAL,
     NORM_ATOL,
+    PROB_FLOOR,
     TRACE_ATOL,
     LinearOperator,
     PhaseGrid,
@@ -103,3 +104,46 @@ class TestNanRejected:
         reg = build_register([("a", 2), ("b", 2)])
         with pytest.raises(ValueError, match="not unitary"):
             build(reg)
+
+
+def verdict(build):
+    """None if ``build()`` passes, else its ValueError message."""
+    try:
+        build()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+class TestGridFreeMatchesGridded:
+    """A grid-free state's norm/trace test, run on Python floats, gives the
+    verdict and message of the same data tiled on a 2-point grid."""
+
+    INF = float("inf")
+    CASES = [
+        (1.0, None),
+        (1.0 + 2e-12, "worst deviation"),
+        (NAN, "worst deviation nan"),
+        (INF, "worst deviation inf"),
+        (-0.5, "worst deviation 5.000e-01"),
+        (0.0, "0 at every grid point"),
+        (PROB_FLOOR * (1.0 - 1e-3), "0 at every grid point"),
+        (PROB_FLOOR * (1.0 + 1e-3), None),
+    ]
+
+    @pytest.mark.parametrize("pure", [True, False])
+    @pytest.mark.parametrize("value, message", CASES)
+    def test_same_verdict_and_message(self, pure, value, message):
+        reg = build_register([("A", 2)])
+        data = np.array([value, 0.0]) if pure else np.diag([value, 0.0])
+        grid_free = verdict(lambda: QuantumState(reg, data))
+        gridded = verdict(
+            lambda: QuantumState(
+                reg, np.stack([data, data]), grids=(PhaseGrid("phi", 2),), fourier_order=(0,)
+            )
+        )
+        assert grid_free == gridded
+        if message is None:
+            assert grid_free is None
+        else:
+            assert message in grid_free
