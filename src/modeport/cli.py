@@ -16,6 +16,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -34,7 +35,14 @@ from .protocol import (
     run_dense_coding,
     run_teleportation,
 )
-from .selftest import decoded_exactly, is_monotone, run_acceptance_suite, teleport_violations
+from .selftest import (
+    HARDCORE_RATIOS,
+    RESERVOIR_NBARS,
+    decoded_exactly,
+    is_monotone,
+    run_acceptance_suite,
+    teleport_violations,
+)
 
 MIN_GRID_POINTS = 15  # headroom over the worst Fourier order this circuit family produces
 
@@ -49,8 +57,8 @@ class RunConfig:
     n: int = 100
     seed: int = 0
     out: str | None = None
-    ratios: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0)
-    nbars: tuple[float, ...] = (4.0, 16.0, 64.0, 256.0)
+    ratios: tuple[float, ...] = HARDCORE_RATIOS
+    nbars: tuple[float, ...] = RESERVOIR_NBARS
 
 
 def _grid_entries(config: RunConfig) -> int:
@@ -65,15 +73,6 @@ def _grid_entries(config: RunConfig) -> int:
     if config.command == "densecoding":
         return 16 * m
     return 8 * m ** (1 if config.shared_reservoir else 2)
-
-
-# Bytes counted per run when --n is checked against BYTES_BUDGET (260 bytes per
-# MAX_REGISTER_DIM state, about 1.1 GB).  A sweep keeps one JSON row per run,
-# about 2.5 KB (39.4 MB peak at n = 200, 43.8 MB at n = 2,000): n <= 436,207.
-# selftest judges each run as it is made and keeps none (43 MB peak at --grid 64
-# for n = 20 and n = 400); the 51 KB its per-run records once took stays as its
-# count, so n <= 21,299, which bounds run time to about a minute at grid 16.
-RUN_BYTES = {"sweep": 2_500, "selftest": 51_200}
 
 
 def _parse_list(text: str) -> tuple[float, ...]:
@@ -102,17 +101,6 @@ FIELDS = {
     "nbars": ("--nbars", _parse_list),
 }
 
-# The fields each command reads: its flags and its config-file keys.
-COMMAND_FIELDS = {
-    "teleport": ("theta_prime", "phi", "grid_points", "shared_reservoir", "out"),
-    "sweep": ("n", "seed", "grid_points", "shared_reservoir", "out"),
-    "hardcore": ("ratios", "out"),
-    "reservoir": ("nbars", "out"),
-    "densecoding": ("grid_points", "out"),
-    "selftest": ("n", "seed", "grid_points", "out"),
-}
-
-
 def _read_config_file(path: str) -> dict[str, str]:
     """Flat ``key = value`` lines; ``#`` starts a comment."""
     values: dict[str, str] = {}
@@ -134,12 +122,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="mode-entanglement teleportation runs and limit scans",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, names in COMMAND_FIELDS.items():
-        p = sub.add_parser(command)
+    for command in COMMANDS:
+        p = sub.add_parser(command, allow_abbrev=False)  # "reservoir --n" is not "--nbars"
         # argparse's own pattern has no exponent, so "--phi -1e3" would read -1e3 as a flag.
         p._negative_number_matcher = re.compile(r"^-\.?\d")
         p.add_argument("--config", default=None, help="flat key = value file")
-        for name in names:
+        for name in COMMANDS[command].fields:
             flag, cast = FIELDS[name]
             if cast is _parse_bool:
                 p.add_argument(flag, dest=name, action="store_true", default=None)
@@ -149,11 +137,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse(message: str) -> NoReturn:
+    """A size or range past what a command can run: one stderr line, exit 2."""
+    print(f"modeport: {message}", file=sys.stderr)
+    raise SystemExit(2) from None
+
+
 def parse_config(argv: list[str] | None = None) -> RunConfig:
     """Parse flags (and an optional config file; flags win) into a RunConfig."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    names = COMMAND_FIELDS[args.command]
+    names = COMMANDS[args.command].fields
     file_values: dict[str, str] = {}
     if args.config:
         try:
@@ -199,32 +193,23 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
             parser.error(f"--{name} must be positive")
     entries = _grid_entries(config) if "grid_points" in names else 0
     if entries > MAX_REGISTER_DIM:  # refused before allocating
-        print(
-            f"modeport: --grid {config.grid_points}: gridded state counts "
-            f"{entries} entries, over {MAX_REGISTER_DIM}",
-            file=sys.stderr,
+        _refuse(
+            f"--grid {config.grid_points}: gridded state counts "
+            f"{entries} entries, over {MAX_REGISTER_DIM}"
         )
-        raise SystemExit(2)
-    counted = config.n * RUN_BYTES.get(config.command, 0)
+    counted = config.n * COMMANDS[config.command].run_bytes
     if counted > BYTES_BUDGET:  # refused before the corpus is drawn
-        print(
-            f"modeport: --n {config.n}: runs count as {counted} bytes, over {BYTES_BUDGET}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+        _refuse(f"--n {config.n}: runs count as {counted} bytes, over {BYTES_BUDGET}")
     if config.command == "hardcore" and config.ratios[-1] > MAX_SWAP_RATIO:  # the largest is last
-        print(
-            f"modeport: --ratios {config.ratios[-1]:g}: over {MAX_SWAP_RATIO:.12g}, "
-            "where the swap pulse's phases overflow",
-            file=sys.stderr,
+        _refuse(
+            f"--ratios {config.ratios[-1]:g}: over {MAX_SWAP_RATIO:.12g}, "
+            "where the swap pulse's phases overflow"
         )
-        raise SystemExit(2)
     if config.command == "reservoir":  # refused before allocating; the largest nbar is last
         try:
             rotation_modes(config.nbars[-1])
         except ValueError as exc:
-            print(f"modeport: --nbars {config.nbars[-1]:g}: {exc}", file=sys.stderr)
-            raise SystemExit(2) from None
+            _refuse(f"--nbars {config.nbars[-1]:g}: {exc}")
     return config
 
 
@@ -247,12 +232,31 @@ def _json_text(payload: dict) -> str:
 
 def _run_teleport(config: RunConfig):
     spec = UnknownStateSpec(config.theta_prime, config.phi)
-    result = run_teleportation(
-        spec,
-        "shared" if config.shared_reservoir else "distinct",
-        config.grid_points,
-    )
-    return _json_text(result.to_json_dict()), teleport_violations(result, "teleport")
+    reservoir_config = "shared" if config.shared_reservoir else "distinct"
+    result = run_teleportation(spec, reservoir_config, config.grid_points)
+    payload = {
+        "spec": {"theta_prime": spec.theta_prime, "phi": spec.phi},
+        "reservoirs": {
+            "config": reservoir_config,
+            "preparation": result.prep_symbol,
+            "analysis": result.analysis_symbol,
+            "grid_points": config.grid_points,
+        },
+        "outcomes": [
+            {
+                "n_a": rec.n_a,
+                "n_A": rec.n_A,
+                "classification": rec.classification,
+                "probability": rec.probability,
+                "fidelity_min": rec.fidelity_min,
+                "fidelity_mean": rec.fidelity_mean,
+            }
+            for rec in result.outcomes
+        ],
+        "success_probability": result.success_probability,
+        "ssr_compliant": result.ssr_compliant,
+    }
+    return _json_text(payload), teleport_violations(result, "teleport")
 
 
 def _run_sweep(config: RunConfig):
@@ -368,19 +372,33 @@ def _run_selftest(config: RunConfig):
     return _json_text(payload), violations
 
 
-_RUNNERS = {
-    "teleport": _run_teleport,
-    "sweep": _run_sweep,
-    "hardcore": _run_scan,
-    "reservoir": _run_scan,
-    "densecoding": _run_densecoding,
-    "selftest": _run_selftest,
+class Command(NamedTuple):
+    fields: tuple[str, ...]  # the RunConfig fields it reads: its flags and config-file keys
+    run: Callable[[RunConfig], tuple[str, list[str]]]  # -> (artifact text, violations)
+    run_bytes: int = 0  # bytes counted per --n run against BYTES_BUDGET
+
+
+# Bytes per run when --n is checked against BYTES_BUDGET (260 bytes per
+# MAX_REGISTER_DIM state, about 1.1 GB).  A sweep keeps one JSON row per run,
+# about 2.5 KB (39.4 MB peak at n = 200, 43.8 MB at n = 2,000): n <= 436,207.
+# selftest judges each run as it is made and keeps none (43 MB peak at --grid 64
+# for n = 20 and n = 400); the 51 KB its per-run records once took stays as its
+# count, so n <= 21,299, which bounds run time to about a minute at grid 16.
+COMMANDS = {
+    "teleport": Command(
+        ("theta_prime", "phi", "grid_points", "shared_reservoir", "out"), _run_teleport
+    ),
+    "sweep": Command(("n", "seed", "grid_points", "shared_reservoir", "out"), _run_sweep, 2_500),
+    "hardcore": Command(("ratios", "out"), _run_scan),
+    "reservoir": Command(("nbars", "out"), _run_scan),
+    "densecoding": Command(("grid_points", "out"), _run_densecoding),
+    "selftest": Command(("n", "seed", "grid_points", "out"), _run_selftest, 51_200),
 }
 
 
 def execute_and_report(config: RunConfig) -> int:
     """Run the configured command, write its artifact, return the exit code."""
-    text, violations = _RUNNERS[config.command](config)
+    text, violations = COMMANDS[config.command].run(config)
     try:
         if config.out:
             Path(config.out).write_text(text, encoding="utf-8")

@@ -256,33 +256,6 @@ class ProtocolResult:
     def ssr_compliant(self) -> bool:
         return self.ssr_report.compliant
 
-    def to_json_dict(self) -> dict:
-        return {
-            "spec": {
-                "theta_prime": self.spec.theta_prime,
-                "phi": self.spec.phi,
-            },
-            "reservoirs": {
-                "config": self.reservoir_config,
-                "preparation": self.prep_symbol,
-                "analysis": self.analysis_symbol,
-                "grid_points": self.grid_points,
-            },
-            "outcomes": [
-                {
-                    "n_a": rec.n_a,
-                    "n_A": rec.n_A,
-                    "classification": rec.classification,
-                    "probability": rec.probability,
-                    "fidelity_min": rec.fidelity_min,
-                    "fidelity_mean": rec.fidelity_mean,
-                }
-                for rec in self.outcomes
-            ],
-            "success_probability": self.success_probability,
-            "ssr_compliant": self.ssr_compliant,
-        }
-
 
 def run_teleportation(
     spec: UnknownStateSpec,

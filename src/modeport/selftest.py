@@ -208,12 +208,16 @@ def _dense_coding_contrast(grid_points: int) -> CriterionResult:
     )
 
 
+# The limit scans' points: criteria 7 and 8, and the CLI's default --ratios and --nbars.
+HARDCORE_RATIOS = (1.0, 10.0, 100.0, 1000.0)
+RESERVOIR_NBARS = (4.0, 16.0, 64.0, 256.0)
+
 # Criteria 7 and 8: (number, name, limit scan, scanned values, bound on the last value).
 _SCAN_CRITERIA = (
     (7, "hard-core swap infidelity is monotone and < 1e-3 at U/J = 1000",
-     hardcore_limit_scan, [1.0, 10.0, 100.0, 1000.0], 1e-3),
+     hardcore_limit_scan, HARDCORE_RATIOS, 1e-3),
     (8, "resolved-reservoir rotation error is monotone and < 0.05 at nbar = 256",
-     reservoir_resolved_rotation, [4.0, 16.0, 64.0, 256.0], 0.05),
+     reservoir_resolved_rotation, RESERVOIR_NBARS, 0.05),
 )
 
 

@@ -8,6 +8,34 @@ import pytest
 from modeport import cli
 from modeport.cli import main, parse_config
 
+# The README's flag table: the flags each command takes besides --config.
+README_FLAGS = {
+    "teleport": ("--theta-prime", "--phi", "--grid", "--shared-reservoir", "--out"),
+    "sweep": ("--n", "--seed", "--grid", "--shared-reservoir", "--out"),
+    "hardcore": ("--ratios", "--out"),
+    "reservoir": ("--nbars", "--out"),
+    "densecoding": ("--grid", "--out"),
+    "selftest": ("--n", "--seed", "--grid", "--out"),
+}
+# (command, RunConfig field) for every field whose flag the command does not take.
+IGNORED_FIELDS = [
+    (command, name)
+    for command, flags in README_FLAGS.items()
+    for name, (flag, _) in cli.FIELDS.items()
+    if flag not in flags
+]
+# A valid argument for each flag, and the RunConfig value it parses to.
+FLAG_VALUES = {
+    "--theta-prime": ("0.5", 0.5),
+    "--phi": ("-1e3", -1000.0),
+    "--grid": ("21", 21),
+    "--n": ("3", 3),
+    "--seed": ("7", 7),
+    "--out": ("run.out", "run.out"),
+    "--ratios": ("1,10", (1.0, 10.0)),
+    "--nbars": ("4,16", (4.0, 16.0)),
+}
+
 
 class TestParsing:
     def test_teleport_flags(self):
@@ -30,27 +58,29 @@ class TestParsing:
             parse_config(["teleport", "--grid", "8"])
         assert exc.value.code != 0
 
-    # (command, largest grid whose counted gridded entries fit in MAX_REGISTER_DIM):
-    # M**2 * 8 <= 2**22 with two reservoirs, M * 8 with one, M * 16 for dense coding.
+    # (command, largest grid whose counted gridded entries fit in MAX_REGISTER_DIM,
+    # entries counted one point past it): M**2 * 8 <= 2**22 with two reservoirs,
+    # M * 8 with one, M * 16 for dense coding.
     @pytest.mark.parametrize(
-        "argv,largest",
+        "argv,largest,entries",
         [
-            (["teleport"], 724),
-            (["teleport", "--shared-reservoir"], 2**19),
-            (["sweep"], 724),
-            (["sweep", "--shared-reservoir"], 2**19),
-            (["selftest"], 724),
-            (["densecoding"], 2**18),
+            (["teleport"], 724, 4_205_000),
+            (["teleport", "--shared-reservoir"], 2**19, 4_194_312),
+            (["sweep"], 724, 4_205_000),
+            (["sweep", "--shared-reservoir"], 2**19, 4_194_312),
+            (["selftest"], 724, 4_205_000),
+            (["densecoding"], 2**18, 4_194_320),
         ],
     )
-    def test_grid_bound(self, argv, largest, capsys):
+    def test_grid_bound(self, argv, largest, entries, capsys):
         assert parse_config(argv + ["--grid", str(largest)]).grid_points == largest
         with pytest.raises(SystemExit) as exc:
             parse_config(argv + ["--grid", str(largest + 1)])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith(f"modeport: --grid {largest + 1}: ") and "over 4194304" in err
+        assert capsys.readouterr().err == (
+            f"modeport: --grid {largest + 1}: gridded state counts {entries} entries, "
+            "over 4194304\n"
+        )
 
     def test_huge_grid_refused_before_allocating(self, tmp_path):
         out = tmp_path / "teleport.json"
@@ -68,21 +98,21 @@ class TestParsing:
     # (command, largest --n whose runs fit in 260 * MAX_REGISTER_DIM bytes):
     # about 2.5 KB per sweep run and 51 KB per selftest run.
     @pytest.mark.parametrize(
-        "argv,largest",
+        "argv,largest,counted",
         [
-            (["sweep"], 436_207),
-            (["sweep", "--shared-reservoir"], 436_207),
-            (["selftest"], 21_299),
+            (["sweep"], 436_207, 1_090_520_000),
+            (["sweep", "--shared-reservoir"], 436_207, 1_090_520_000),
+            (["selftest"], 21_299, 1_090_560_000),
         ],
     )
-    def test_n_bound(self, argv, largest, capsys):
+    def test_n_bound(self, argv, largest, counted, capsys):
         assert parse_config(argv + ["--n", str(largest)]).n == largest
         with pytest.raises(SystemExit) as exc:
             parse_config(argv + ["--n", str(largest + 1)])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith(f"modeport: --n {largest + 1}: ") and "over 1090519040" in err
+        assert capsys.readouterr().err == (
+            f"modeport: --n {largest + 1}: runs count as {counted} bytes, over 1090519040\n"
+        )
 
     def test_huge_n_refused_before_allocating(self, tmp_path):
         out = tmp_path / "sweep.json"
@@ -210,19 +240,19 @@ class TestParsing:
         assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command,flag",
-        [
-            ("teleport", "--seed"),
-            ("hardcore", "--grid"),
-            ("hardcore", "--shared-reservoir"),
-            ("hardcore", "--seed"),
-            ("reservoir", "--grid"),
-            ("reservoir", "--shared-reservoir"),
-            ("reservoir", "--seed"),
-            ("densecoding", "--shared-reservoir"),
-            ("densecoding", "--seed"),
-            ("selftest", "--shared-reservoir"),
-        ],
+        "command,flag", [(command, flag) for command, flags in README_FLAGS.items() for flag in flags]
+    )
+    def test_flag_the_command_takes_parses(self, command, flag):
+        name = next(name for name, (f, _) in cli.FIELDS.items() if f == flag)
+        if flag == "--shared-reservoir":
+            argv, expected = [command, flag], True
+        else:
+            text, expected = FLAG_VALUES[flag]
+            argv = [command, flag, text]
+        assert getattr(parse_config(argv), name) == expected
+
+    @pytest.mark.parametrize(
+        "command,flag", [(command, cli.FIELDS[name][0]) for command, name in IGNORED_FIELDS]
     )
     def test_flag_the_command_ignores_exits_2(self, command, flag):
         argv = [command, flag] if flag == "--shared-reservoir" else [command, flag, "16"]
@@ -230,10 +260,7 @@ class TestParsing:
             parse_config(argv)
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize(
-        "command,key",
-        [("teleport", "seed"), ("hardcore", "grid_points"), ("densecoding", "shared_reservoir")],
-    )
+    @pytest.mark.parametrize("command,key", IGNORED_FIELDS)
     def test_config_key_the_command_ignores_exits_2(self, tmp_path, command, key, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = 1\n")

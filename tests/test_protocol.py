@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from modeport.cli import main
 from modeport.fock import (
     PhaseGrid,
     basis_state,
@@ -258,9 +261,10 @@ class TestTeleportation:
         assert result.ssr_compliant
         assert result.ssr_report.max_offblock_norm < 1e-12
 
-    def test_json_schema(self):
-        result = run_teleportation(UnknownStateSpec(0.4, 0.2))
-        payload = result.to_json_dict()
+    def test_json_schema(self, tmp_path):
+        artifact = tmp_path / "teleport.json"
+        assert main(["teleport", "--theta-prime", "0.4", "--phi", "0.2", "--out", str(artifact)]) == 0
+        payload = json.loads(artifact.read_text())
         assert set(payload) == {
             "spec",
             "reservoirs",

@@ -112,7 +112,8 @@ class TestSizeBound:
         with pytest.raises(SystemExit) as exc:
             main(["reservoir", "--nbars", "4,1e12", "--out", str(out)])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("modeport: --nbars 1e+12: ") and "states, over 4194304" in err
+        assert capsys.readouterr().err == (
+            "modeport: --nbars 1e+12: register (2, 1000010000000) has 2000020000000 states, "
+            "over 4194304\n"
+        )
         assert not out.exists()
