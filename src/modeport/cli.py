@@ -102,9 +102,9 @@ FIELDS = {
 }
 
 def _read_config_file(path: str) -> dict[str, str]:
-    """Flat ``key = value`` lines; ``#`` starts a comment."""
+    """Flat ``key = value`` lines; ``#`` starts a comment, and a leading UTF-8 BOM is dropped."""
     values: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

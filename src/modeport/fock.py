@@ -414,19 +414,17 @@ def from_amplitudes(
     return QuantumState(register, vec)
 
 
-def _max_offsector_entry(matrix: np.ndarray, register: ModeRegister) -> float:
-    """Largest |entry| of a dim x dim matrix between two total-number sectors."""
-    n = register.total_numbers
-    offsector = n[:, None] != n
-    return float(np.abs(matrix[offsector]).max()) if offsector.any() else 0.0
+def _require_unitary(matrix: np.ndarray) -> float:
+    """max |U+U - I| over a stack of square matrices; ValueError past NORM_ATOL or NaN.
 
-
-def _require_unitary(matrix: np.ndarray) -> None:
-    """Reject a stack of square matrices unless each has max |U+U - I| <= NORM_ATOL."""
-    prod = matrix.conj().swapaxes(-1, -2) @ matrix
-    dev = np.abs(prod - np.eye(matrix.shape[-1])).max()
+    The package's one unitarity residual: operators of ``kind="unitary"`` are
+    checked by it at construction, and self-test criterion 9 prints it.
+    """
+    prod = np.einsum("...ji,...jk->...ik", matrix.conj(), matrix)
+    dev = float(np.abs(prod - np.eye(matrix.shape[-1])).max())
     if not dev <= NORM_ATOL:
         raise ValueError(f"operator is not unitary: max |U+U - I| = {dev:.3e}")
+    return dev
 
 
 class LinearOperator:
@@ -703,7 +701,8 @@ def embed_and_apply(
         out = _contract(op, out.swapaxes(-1, -2), register, symbols, symbols, conj=True)
     if renormalize:
         prob = _branch_probability(out, state.is_pure)
-        if (np.sqrt(prob) if state.is_pure else prob).max() < PROB_FLOOR:
+        # At most PROB_FLOOR everywhere, every point would be stored as 0.
+        if (np.sqrt(prob) if state.is_pure else prob).max() <= PROB_FLOOR:
             raise ValueError("operator annihilated the state everywhere")
         out = _normalized_branch(out, prob, state.is_pure)
     return QuantumState(register, out, grids=grids, fourier_order=orders)

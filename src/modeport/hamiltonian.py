@@ -12,8 +12,9 @@ reservoir mode, its reservoir-assisted rotation alike.
 Units use hbar = 1 throughout; times are meaningful only as products with
 the named couplings.  Hamiltonians and propagators are held as one block per
 total-number sector (:attr:`ModeRegister.sectors`), never as dim x dim
-matrices, so the generator must conserve particle number.  Evolution is exact
-by eigendecomposition: sectors of equal size are diagonalized in one stacked
+matrices, so the generator must conserve particle number, and
+:func:`propagator` refuses a dense Hamiltonian.  Evolution is exact by
+eigendecomposition: sectors of equal size are diagonalized in one stacked
 call, and the propagator's unitarity is checked block by block.
 
 The two scans in this module quantify the two idealizations behind the gate
@@ -44,12 +45,10 @@ import numpy as np
 
 from .fock import (
     BYTES_BUDGET,
-    HERM_ATOL,
     LinearOperator,
     ModeRegister,
     QuantumState,
     _apply_blocks,
-    _max_offsector_entry,
     build_register,
     check_register_size,
     embed_and_apply,
@@ -146,30 +145,21 @@ def build_hamiltonian(
 def propagator(hamiltonian: LinearOperator, t: float) -> LinearOperator:
     """Unitary exp(-i H t) as sector blocks, exact by eigendecomposition.
 
-    H must be a ``kind="hermitian"`` operator (checked at construction) that
-    conserves total particle number.  A sector-block H is used as it is; a
-    dense H is rejected if an entry between two sectors exceeds ``HERM_ATOL``,
-    and its blocks are gathered.  Each sector size is diagonalized in one
-    stacked ``eigh`` call; the ``kind="unitary"`` result checks each block's
-    unitarity at construction, and no dim x dim array is formed.
+    H must be ``kind="hermitian"`` (checked at construction) and held as the
+    sector blocks :func:`build_hamiltonian` returns, which conserve particle
+    number; a dense H is refused before any ``eigh``.  Each sector size is
+    diagonalized in one stacked ``eigh`` call, and the ``kind="unitary"``
+    result checks each block's unitarity at construction.
     """
-    if hamiltonian.grids:
-        raise ValueError("Hamiltonians must not carry phase symbols")
     if hamiltonian.kind != "hermitian":
         raise ValueError(f"Hamiltonian must be a Hermitian operator, not {hamiltonian.kind!r}")
-    register = hamiltonian.register
-    blocks = hamiltonian.blocks
-    if blocks is None:
-        h = hamiltonian.matrix
-        leak = _max_offsector_entry(h, register)
-        if leak > HERM_ATOL:
-            raise ValueError(f"Hamiltonian changes particle number: off-sector entry {leak:.3e}")
-        blocks = [h[idx[:, :, None], idx[:, None, :]] for idx in register.sectors]
+    if hamiltonian.blocks is None:
+        raise ValueError("Hamiltonian must be sector blocks (fixed particle number), not dense")
     unitaries = []
-    for block in blocks:
+    for block in hamiltonian.blocks:
         w, v = np.linalg.eigh(block)
         unitaries.append((v * np.exp(-1j * w * t)[:, None, :]) @ np.swapaxes(v.conj(), -1, -2))
-    return LinearOperator(register, blocks=unitaries, kind="unitary")
+    return LinearOperator(hamiltonian.register, blocks=unitaries, kind="unitary")
 
 
 def evolve(state: QuantumState, hamiltonian: LinearOperator, t: float) -> QuantumState:

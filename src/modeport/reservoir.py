@@ -23,9 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import (
-    OPERATOR_CACHE_DIM, ModeRegister, QuantumState, _exact_key, _max_offsector_entry, phase_average
-)
+from .fock import OPERATOR_CACHE_DIM, ModeRegister, QuantumState, _exact_key, phase_average
 
 SSR_ATOL = 1e-12
 
@@ -92,7 +90,9 @@ def ssr_compliance_check(state: QuantumState) -> SsrReport:
             f"state carries unresolved phase symbols {state.phase_symbols}; "
             "twirl before checking superselection compliance"
         )
-    max_off = _max_offsector_entry(state.density_data(), state.register)
+    n = state.register.total_numbers
+    offsector = n[:, None] != n
+    max_off = float(np.abs(state.density_data()[offsector]).max()) if offsector.any() else 0.0
     return SsrReport(compliant=max_off <= SSR_ATOL, max_offblock_norm=max_off)
 
 

@@ -271,6 +271,15 @@ class TestParsing:
         assert f"unknown config key {key!r}" in err
         assert repr(command) in err
 
+    def test_config_file_with_utf8_bom(self, tmp_path):
+        # Some editors write a byte-order mark first; it is not part of the first key.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfgrid_points = 21\n")
+        from_file, from_flag = tmp_path / "file.json", tmp_path / "flag.json"
+        assert main(["teleport", "--config", str(cfg), "--out", str(from_file)]) == 0
+        assert main(["teleport", "--grid", "21", "--out", str(from_flag)]) == 0
+        assert from_file.read_bytes() == from_flag.read_bytes()
+
     @pytest.mark.parametrize(
         "value,expected", [("true", True), ("No", False), ("YES", True), ("0", False)]
     )

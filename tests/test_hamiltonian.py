@@ -236,6 +236,12 @@ def random_number_conserving_hermitian(rng, reg):
     return h
 
 
+def sector_hamiltonian(reg, h):
+    """Dense Hermitian ``h`` as an operator of the blocks gathered from ``reg.sectors``."""
+    blocks = [h[idx[:, :, None], idx[:, None, :]] for idx in reg.sectors]
+    return LinearOperator(reg, blocks=blocks, kind="hermitian")
+
+
 SECTOR_REGISTERS = pytest.mark.parametrize(
     "modes",
     [[("a", 3), ("A", 2), ("B", 3)], [("probe", 2), ("res", 12)]],
@@ -341,12 +347,13 @@ class TestSectorPropagator:
         for t in (0.0, 0.41, 3.7):
             w, v = np.linalg.eigh(h)
             oracle = (v * np.exp(-1j * w * t)) @ v.conj().T
-            u = propagator(LinearOperator(reg, h, kind="hermitian"), t)
+            u = propagator(sector_hamiltonian(reg, h), t)
             np.testing.assert_allclose(u.matrix, oracle, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("t", [0.0, 0.5])
     def test_number_changing_generator_rejected(self, t):
-        # a + a^+ on one mode is Hermitian but couples sectors n and n + 1.
+        # a + a^+ on one mode is Hermitian but couples sectors n and n + 1, so
+        # it has no sector blocks; as a dense H it meets the dense-H refusal.
         reg = build_register([("m", 3), ("r", 2)])
         create = ladder_operator(reg, "m", "create").matrix
         h = LinearOperator(reg, create + create.conj().T, kind="hermitian")
@@ -361,9 +368,8 @@ class TestSectorPropagator:
 
     def test_unitarity_checked_for_every_sector_size(self, monkeypatch):
         reg = build_register([("a", 3), ("A", 2), ("B", 3)])
-        h = LinearOperator(
-            reg, random_number_conserving_hermitian(np.random.default_rng(5), reg),
-            kind="hermitian",
+        h = sector_hamiltonian(
+            reg, random_number_conserving_hermitian(np.random.default_rng(5), reg)
         )
         sizes = sorted(set(np.bincount(reg.total_numbers).tolist()))
         assert len(sizes) > 2
@@ -384,8 +390,24 @@ class TestSectorPropagator:
         h = random_number_conserving_hermitian(np.random.default_rng(17), reg)
         off = reg.total_numbers[:, None] != reg.total_numbers
         for t in (0.41, 3.7):
-            u = propagator(LinearOperator(reg, h, kind="hermitian"), t)
+            u = propagator(sector_hamiltonian(reg, h), t)
             assert np.all(u.matrix[off] == 0.0)
+
+    @SECTOR_REGISTERS
+    def test_dense_hamiltonian_refused_before_eigh(self, modes, monkeypatch):
+        reg = build_register(modes)
+        h = LinearOperator(
+            reg, random_number_conserving_hermitian(np.random.default_rng(23), reg),
+            kind="hermitian",
+        )
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        with pytest.raises(ValueError, match="sector blocks .* not dense"):
+            propagator(h, 0.41)
+        with pytest.raises(ValueError, match="sector blocks .* not dense"):
+            evolve(basis_state(reg, (0,) * len(modes)), h, 0.41)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "command,golden",

@@ -56,12 +56,12 @@ def reference_renormalized_apply(state, op):
         out = _contract(op, np.swapaxes(out, -1, -2), register, symbols, symbols, conj=True)
     if state.is_pure:
         norm = np.sqrt(np.sum(np.abs(out) ** 2, axis=-1, keepdims=True))
-        if norm.max() < PROB_FLOOR:
+        if norm.max() <= PROB_FLOOR:
             raise ValueError("operator annihilated the state everywhere")
         out = np.where(norm > PROB_FLOOR, out / np.maximum(norm, PROB_FLOOR), 0.0)
     else:
         tr = np.real(np.trace(out, axis1=-2, axis2=-1))[..., None, None]
-        if tr.max() < PROB_FLOOR:
+        if tr.max() <= PROB_FLOOR:
             raise ValueError("operator annihilated the state everywhere")
         out = np.where(tr > PROB_FLOOR, out / np.maximum(tr, PROB_FLOOR), 0.0)
     return out
@@ -154,6 +154,22 @@ def outcome_of(call):
 @example(
     case=(
         (2, [4, 4], False, [("rotation", (0,), 1.0, 1), ("rotation", (0,), 1.0, 0)], 0),
+        ["m0"],
+        ["m1"],
+    ),
+    mixed=False,
+    basis_start=True,
+)
+# The annihilator leaves norm exactly PROB_FLOOR at every grid point: refused as annihilated.
+@example(
+    case=(
+        (
+            2,
+            [2],
+            False,
+            [("rotation", (0,), 0.0, 0), ("rotation", (0,), 1e-14, 0), ("phase", (0,), 0.0)],
+            1,
+        ),
         ["m0"],
         ["m1"],
     ),
