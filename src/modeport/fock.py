@@ -33,7 +33,7 @@ NORM_ATOL = 1e-12
 HERM_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 MIN_EIGVAL = -1e-10
-# Measurement outcomes below this probability are dropped.
+# Measurement outcomes at or below this probability are dropped.
 PROB_FLOOR = 1e-14
 # Largest register, in basis states: the reservoir scan peaks near 260 bytes
 # per state (520 MB at nbar = 10**6, 2,020,000 states), so about 1.1 GB here.
@@ -604,11 +604,11 @@ def embed_matrix(
 
 
 def _apply_blocks(op: LinearOperator, data: np.ndarray, conj: bool = False) -> np.ndarray:
-    """Sector-block ``op`` (or its conjugate) on the last axis: gather, batch multiply, scatter."""
+    """Sector-block ``op`` (or its conjugate) on axis -2 of ``data``: gather, multiply, scatter."""
     out = np.empty_like(data)
     for idx, block in zip(op.register.sectors, op.blocks):
         block = block.conj() if conj else block
-        out[..., idx] = np.einsum("kij,...kj->...ki", block, data[..., idx])
+        out[..., idx, :] = np.einsum("kij,...kjR->...kiR", block, data[..., idx, :])
     return out
 
 
@@ -624,23 +624,15 @@ def _contract(
 
     ``data`` has one leading grid axis per symbol of ``own``, maybe another
     basis axis, and the contracted one last; the result has one grid axis per
-    symbol of the merged set ``symbols``.  Sector blocks run on the
-    operator's modes moved last, copied only if they are not last already.  A
-    dense operator orders one copy as (operator grid axes, operator modes,
-    all other axes merged into one long axis ``R``), so einsum's inner loop
-    runs over ``R``, and a second copy writes the result back into the
-    input's memory layout, C order once a grid is added.  Later grid means
-    sum in an order that depends on that layout.
+    symbol of the merged set ``symbols``.  One copy orders ``data`` as
+    (operator grid axes, operator modes, all other axes merged into one long
+    axis ``R``), so the inner loop runs over ``R``: a dense operator is one
+    einsum on it, sector blocks go through :func:`_apply_blocks` on the same
+    array.  A second copy writes the result back into the input's memory
+    layout, C order once a grid is added, whatever the operator's storage.
+    Later grid means sum in an order that depends on that layout.
     """
     order = _modes_last(register, op.register)
-    if op.blocks is not None:
-        moved = order != sorted(order)
-        x = _permute_modes(data, register.dims, order, 1) if moved else data
-        out = _apply_blocks(op, x.reshape(x.shape[:-1] + (-1, op.register.dim)), conj)
-        out = out.reshape(data.shape)
-        if moved:
-            out = _permute_modes(out, [register.dims[p] for p in order], np.argsort(order), 1)
-        return out
     n_rest = register.n_modes - op.register.n_modes
     split = _expand_axes(data.reshape(data.shape[:-1] + register.dims), own, symbols)
     n_lead = split.ndim - register.n_modes
@@ -652,7 +644,10 @@ def _contract(
     ]
     split = split.transpose(axes)
     x = split.reshape(split.shape[: len(op_axes)] + (op.register.dim, -1))
-    out = np.einsum("...ij,...jR->...iR", op.matrix.conj() if conj else op.matrix, x)
+    if op.blocks is None:
+        out = np.einsum("...ij,...jR->...iR", op.matrix.conj() if conj else op.matrix, x)
+    else:
+        out = _apply_blocks(op, x, conj)
     out = out.reshape(out.shape[:-2] + split.shape[len(op_axes) :]).transpose(np.argsort(axes))
     result = np.empty_like(data, shape=out.shape[:n_lead] + (register.dim,))
     # Splitting the basis axis into modes is a view of ``result``, whatever its layout.
@@ -866,7 +861,7 @@ def measure_number(state: QuantumState, modes: Sequence[str]) -> MeasurementResu
 
     Returns Born-rule probabilities and renormalized conditional states on
     the unmeasured modes, per phase-grid point.  Outcomes whose probability
-    stays below ``PROB_FLOOR`` across the whole grid are omitted.
+    stays at or below ``PROB_FLOOR`` across the whole grid are omitted.
     """
     modes = list(modes)
     if not modes:
@@ -884,7 +879,7 @@ def measure_number(state: QuantumState, modes: Sequence[str]) -> MeasurementResu
             sub = state.data[..., group[:, None], group[None, :]]
         prob = _branch_probability(sub, state.is_pure)
         total = prob if total is None else total + prob
-        if prob.max() < PROB_FLOOR:
+        if prob.max() <= PROB_FLOOR:
             continue
         cond = None
         if sub_register is not None:
@@ -951,7 +946,7 @@ def fidelity(x: QuantumState, y: QuantumState):
         return _maybe_scalar(value, gridded)
     xd, yd = np.broadcast_arrays(xd, yd)
     root = _psd_sqrt(xd)
-    inner = np.einsum("...ij,...jk,...kl->...il", root, yd, root)
+    inner = root @ yd @ root
     w = np.linalg.eigvalsh(inner)
     value = np.sqrt(_clip_spectrum(w)).sum(axis=-1) ** 2
     return _maybe_scalar(value, gridded)

@@ -485,6 +485,14 @@ class TestMeasurement:
         with pytest.raises(ValueError, match="unknown"):
             measure_number(basis_state(reg, (0,)), ["x"])
 
+    def test_outcome_at_the_probability_floor_is_omitted(self):
+        # Outcome a = 1 has probability exactly PROB_FLOOR, where its
+        # conditional state would be stored as zero at every grid point.
+        reg = build_register([("a", 2), ("b", 2)])
+        state = QuantumState(reg, np.diag([1.0 - 1e-14, 0.0, 1e-14, 0.0]))
+        result = measure_number(state, ["a"])
+        assert [out.occupations for out in result] == [(0,)]
+
 
 class TestMetrics:
     def test_fidelity_self(self):
@@ -503,6 +511,18 @@ class TestMetrics:
         mixed = fidelity(s1.to_density(), s2.to_density())
         assert abs(pure - mixed) < 1e-10
         assert abs(pure - fidelity(s1, s2.to_density())) < 1e-12
+
+    def test_density_fidelity_equals_the_spectrum_of_their_product(self):
+        # F = (sum_k sqrt(lambda_k))**2 with lambda_k the eigenvalues of rho sigma.
+        reg = build_register([(f"m{i}", 2) for i in range(6)])
+        grid = PhaseGrid("theta", 16)
+        rng = np.random.default_rng(11)
+        rho, sigma = (np.stack([random_density(rng, 64) for _ in range(16)]) for _ in range(2))
+        x = QuantumState(reg, rho, grids=[grid], fourier_order=[0])
+        y = QuantumState(reg, sigma, grids=[grid], fourier_order=[0])
+        lam = np.linalg.eigvals(rho @ sigma)
+        want = np.sqrt(lam).sum(axis=-1).real ** 2
+        np.testing.assert_allclose(fidelity(x, y), want, rtol=0, atol=1e-10)
 
     def test_trace_distance_extremes(self):
         reg = build_register([("A", 2)])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from modeport.fock import (
     NORM_ATOL,
     TRACE_ATOL,
+    LinearOperator,
     PhaseGrid,
     QuantumState,
     _expand_axes,
@@ -24,6 +25,7 @@ from modeport.fock import (
     phase_average,
 )
 from modeport.gates import fermionic_swap_gate, hopping_gate, number_rotation_gate, phase_gate
+from modeport.hamiltonian import HamiltonianParams, build_hamiltonian, propagator
 from modeport.reservoir import ssr_compliance_check, twirl_all, twirl_state
 from test_fock import naive_embedding
 
@@ -213,6 +215,18 @@ def test_gates_keep_a_conditional_states_memory_layout():
             assert out.data.flags.c_contiguous
         else:
             assert out.data.strides == cond.data.strides
+    # A number-conserving pulse stored as sector blocks takes the dense layout
+    # too, so its storage cannot move a twirl's bits.
+    bias, hop = HamiltonianParams(e={"m1": 0.4}), HamiltonianParams(hops={("m1", "m2"): 1.3})
+    for pulse in (
+        propagator(build_hamiltonian(build_register([("m1", 2)]), bias), 0.9),
+        propagator(build_hamiltonian(sub, hop), 0.9),
+    ):
+        out = embed_and_apply(cond, pulse)
+        dense = embed_and_apply(cond, LinearOperator(pulse.register, pulse.matrix, kind="unitary"))
+        assert out.data.strides == cond.data.strides
+        assert np.array_equal(out.data, dense.data)
+        assert np.array_equal(twirl_all(out).data, twirl_all(dense).data)
 
 
 @example(circuit=EDGE_CIRCUIT)

@@ -78,7 +78,7 @@ def reference_measurement(state, modes):
         else:
             sub = state.data[..., group[:, None], group[None, :]]
             prob = np.real(np.trace(sub, axis1=-2, axis2=-1))
-        if prob.max() < PROB_FLOOR:
+        if prob.max() <= PROB_FLOOR:
             continue
         if sub_register is None:
             cond = None
@@ -116,7 +116,7 @@ def reference_fidelity(x, y):
     yd = _expand_axes(y.data, y.phase_symbols, symbols)
     xd, yd = np.broadcast_arrays(xd, yd)
     root = _psd_sqrt(xd)
-    inner = np.einsum("...ij,...jk,...kl->...il", root, yd, root)
+    inner = root @ yd @ root
     w = np.linalg.eigvalsh(inner)
     value = np.sum(np.sqrt(_clip_spectrum(w)), axis=-1) ** 2
     return _maybe_scalar(value, bool(grids))
@@ -224,8 +224,8 @@ def test_branch_and_metric_rules_match_their_references_bit_for_bit(case, mixed,
         assert_same_array(outcome.state.data, cond)
 
     # Pairs with different symbol sets, pure and density in each slot.  Two
-    # density matrices go through Uhlmann's fidelity, a quartic einsum, only
-    # on at most three kept modes.
+    # density matrices go through Uhlmann's fidelity, an eigh and two matrix
+    # products per grid point, only on at most three kept modes.
     first, last = states[0], states[-1]
     reduced = tuple(partial_trace(s, kept[:3]) for s in (first, last))
     pairs = [(first, first), (first, last), (last, first)]
