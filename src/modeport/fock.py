@@ -23,7 +23,7 @@ import math
 import numbers
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -261,14 +261,6 @@ def _require_exact_average(grids: Sequence[PhaseGrid], orders: Sequence[int]) ->
             )
 
 
-@lru_cache(maxsize=4)
-def _psd_shift(dim: int) -> np.ndarray:
-    """Read-only (|MIN_EIGVAL|/2) I of size ``dim``, the PSD screen's shift."""
-    shift = (0.5 * abs(MIN_EIGVAL)) * np.eye(dim)
-    shift.flags.writeable = False
-    return shift
-
-
 class QuantumState:
     """Pure vector or density matrix over a register's Fock basis.
 
@@ -376,8 +368,11 @@ class QuantumState:
             # lambda_min > MIN_EIGVAL / 2 up to round-off, which the eigenvalue
             # rule accepts; the half-bound margin leaves eigvalsh, run only when
             # the screen fails, to decide every case near the bound.
+            shifted = self.data.copy()  # C order, so the reshape below is a view
+            diagonal = shifted.reshape(shifted.shape[:-2] + (-1,))[..., :: self.register.dim + 1]
+            diagonal += 0.5 * abs(MIN_EIGVAL)
             try:
-                np.linalg.cholesky(self.data + _psd_shift(self.register.dim))
+                np.linalg.cholesky(shifted)
             except np.linalg.LinAlgError:
                 eigs = np.linalg.eigvalsh(self.data)
                 if not eigs.min() >= MIN_EIGVAL:
@@ -494,8 +489,9 @@ class LinearOperator:
         return f"LinearOperator({self.kind}, {self.register!r}, symbols={sym})"
 
 
-# A rotation pulse at the size limit holds about 1.05 MB with its register's
-# tables, so the cache retains about 32 MB.
+# An operator is kept while its register's states times its grid points are at
+# most OPERATOR_CACHE_DIM: a rotation pulse at that limit holds about 1.05 MB
+# with its register's tables, so the cache retains at most about 32 MB.
 OPERATOR_CACHE_SIZE = 32
 OPERATOR_CACHE_DIM = 2**14
 _operators: OrderedDict[tuple, LinearOperator] = OrderedDict()
@@ -513,8 +509,9 @@ def _exact_key(args: tuple) -> tuple:
 def shared_operator(build: Callable[..., LinearOperator], *args) -> LinearOperator:
     """``build(*args)`` with its arrays read-only, from one bounded LRU cache.
 
-    An operator is kept only if its register has at most ``OPERATOR_CACHE_DIM``
-    states; a larger one, or a build that raises, leaves the cache as it was.
+    An operator is kept only if its register's states times its grid points
+    are at most ``OPERATOR_CACHE_DIM``; a larger one, or a build that raises,
+    leaves the cache as it was.
     """
     key = (build, _exact_key(args))
     op = _operators.get(key)
@@ -524,7 +521,7 @@ def shared_operator(build: Callable[..., LinearOperator], *args) -> LinearOperat
     op = build(*args)
     for array in op.blocks or (op._matrix,):
         array.flags.writeable = False
-    if op.register.dim <= OPERATOR_CACHE_DIM:
+    if op.register.dim * math.prod(g.n_points for g in op.grids) <= OPERATOR_CACHE_DIM:
         _operators[key] = op
         if len(_operators) > OPERATOR_CACHE_SIZE:
             _operators.popitem(last=False)

@@ -23,7 +23,8 @@ swap, and the large-reservoir limit behind the ideal number rotation.  A scan
 point's pulse depends only on U/J or nbar, so each is built once per process
 and shared read-only from the package's one operator cache
 (:func:`~modeport.fock.shared_operator`), the cache that also holds the gates;
-a pulse on more than ``OPERATOR_CACHE_DIM`` states is built anew on every call.
+a pulse on more than ``OPERATOR_CACHE_DIM`` states is built anew on every call,
+as is a gridded gate whose states times grid points exceed that limit.
 The hard-core scan reads each ratio's four swap amplitudes by basis index from
 its cached pulse's dense view and optimizes the local phases of all ratios in
 one lockstep search, bit for bit the values of a search run one ratio at a

@@ -296,6 +296,21 @@ class TestParsing:
         assert exc.value.code == 2
         assert "shared_reservoir = 'maybe' is not a valid value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sweep", "--n", "0"], "--n must be at least 1"),
+            (["selftest", "--n", "0"], "--n must be at least 1"),
+            (["hardcore", "--ratios", "0"], "--ratios must be positive"),
+            (["reservoir", "--nbars", "-4"], "--nbars must be positive"),
+        ],
+    )
+    def test_out_of_range_value_exits_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["sweep", "selftest"])
     def test_negative_seed_exits_2(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -436,6 +451,20 @@ class TestViolations:
             v.startswith(f"{context}: FAIL criterion 3:") and "1.000e-06" in v
             for v in violations
         )
+
+    def test_wrong_decoding_exits_1_and_writes_the_artifact(self, monkeypatch, capsys, tmp_path):
+        real = cli.run_dense_coding
+
+        def run(message, **kwargs):
+            result = real(message, **kwargs)
+            return dataclasses.replace(result, decoded=3) if message == 2 else result
+
+        monkeypatch.setattr(cli, "run_dense_coding", run)
+        out = tmp_path / "dense.json"
+        assert main(["densecoding", "--out", str(out)]) == 1
+        (violation,) = json.loads(capsys.readouterr().err)["violations"]
+        assert violation == "densecoding: message 2 decoded as 3 (deterministic=True)"
+        assert json.loads(out.read_text())["messages"][2]["decoded"] == 3
 
     def test_non_monotone_scan_exits_1(self, monkeypatch, capsys, tmp_path):
         _, *rest = cli._SCANS["hardcore"]

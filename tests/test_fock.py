@@ -493,6 +493,26 @@ class TestMeasurement:
         result = measure_number(state, ["a"])
         assert [out.occupations for out in result] == [(0,)]
 
+    def test_outcome_vanishing_after_the_average_raises(self):
+        # Outcome a = 1 has probability 1e-13 at one of 16 points and 0 elsewhere:
+        # kept by measurement, but its phase-averaged probability is under PROB_FLOOR.
+        reg = build_register([("a", 2), ("A", 2)])
+        data = np.zeros((16, 4), dtype=np.complex128)
+        data[:, reg.index_of((0, 0))] = 1.0
+        data[0, reg.index_of((0, 0))] = math.sqrt(1.0 - 1e-13)
+        data[0, reg.index_of((1, 0))] = math.sqrt(1e-13)
+        state = QuantumState(reg, data, grids=(PhaseGrid("phi", 16),), fourier_order=(0,))
+        outcome = measure_number(state, ["a"]).outcome((1,))
+        with pytest.raises(ValueError, match="outcome has vanishing phase-averaged probability"):
+            outcome.phase_averaged_state()
+
+    def test_measuring_every_mode_leaves_no_state(self):
+        reg = build_register([("a", 2), ("A", 2)])
+        state = from_amplitudes(reg, {(1, 0): 1.0, (0, 1): 1.0}, normalize=True)
+        for outcome in measure_number(state, ["a", "A"]):
+            assert outcome.state is None
+            assert outcome.phase_averaged_state() is None
+
 
 class TestMetrics:
     def test_fidelity_self(self):

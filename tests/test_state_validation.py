@@ -1,5 +1,7 @@
 """State and operator checks: PSD verdict near its bound, NaN rejection, unchecked to_density."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,18 @@ class TestPsdCheck:
         rho[9, 4] = densities_with_min_eigenvalue(rng, 4, (), 2 * MIN_EIGVAL)
         with pytest.raises(ValueError, match="min eigenvalue -2.000e-10"):
             QuantumState(reg, rho, grids=GRIDS, fourier_order=(0, 0))
+
+    def test_screen_retains_nothing(self):
+        # The screen's shifted copy is freed with the check: no dim x dim identity stays.
+        reg = build_register([(f"q{i}", 2) for i in range(10)])
+        rho = np.eye(reg.dim, dtype=np.complex128) / reg.dim
+        tracemalloc.start()
+        try:
+            QuantumState(reg, rho)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 1_000_000
 
 
 class TestNanRejected:
