@@ -95,6 +95,26 @@ EDGE_CIRCUIT = (
     5,
 )
 
+# Six modes on three 4-point grids: once both rotations have added their
+# symbols, each grid-free gate contracts over 1,024 (two-mode) or 2,048
+# (one-mode) columns, past fock.RUN_MIN_COLUMNS, so it is applied run by run.
+LONG_CIRCUIT = (
+    6,
+    [4, 4, 4],
+    True,
+    [
+        ("rotation", (5,), 0.4, 2),
+        ("rotation", (0,), 1.1, 1),
+        ("fswap", (0, 5)),
+        ("hopping", (5, 1), 0.7, "bell"),
+        ("hopping", (2, 3), 2.3, "raw"),
+        ("phase", (4,), 2.0),
+        ("phase", (3,), np.pi),
+        ("rotation", (2,), 0.9, 0),
+    ],
+    11,
+)
+
 
 def random_start(register, grids, rng):
     """Random unit amplitudes per point of ``grids``, with Fourier order 0."""
@@ -172,6 +192,7 @@ def targets_last_partial_trace(state, keep):
 
 
 @example(circuit=EDGE_CIRCUIT)
+@example(circuit=LONG_CIRCUIT)
 @settings(max_examples=40, deadline=None)
 @given(circuit=circuits())
 def test_kernels_match_targets_last_contractions_bit_for_bit(circuit):
@@ -184,11 +205,14 @@ def test_kernels_match_targets_last_contractions_bit_for_bit(circuit):
         gate = build_gate(register, grids, spec)
         out = embed_and_apply(state, gate)
         assert out.data.flags.c_contiguous
-        assert np.array_equal(out.data, targets_last_apply(state, gate, out.phase_symbols))
+        # Bytes, so that a -0.0 against a +0.0 counts as a difference.
+        expected = targets_last_apply(state, gate, out.phase_symbols)
+        assert (out.data.shape, out.data.tobytes()) == (expected.shape, expected.tobytes())
         keep = list(rng.permutation(register.labels)[: rng.integers(1, n_modes + 1)])
         reduced = partial_trace(out, keep)
         assert reduced.data.flags.c_contiguous
-        assert np.array_equal(reduced.data, targets_last_partial_trace(out, keep))
+        expected = targets_last_partial_trace(out, keep)
+        assert (reduced.data.shape, reduced.data.tobytes()) == (expected.shape, expected.tobytes())
         state = out
 
 
