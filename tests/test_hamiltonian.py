@@ -566,6 +566,11 @@ class TestPhaseSearch:
     @example(points=[(1j, 0j, -1.0, 0j)])
     @example(points=[(0j, 0j, 0j, 0j), (1.0, 1.0, 1.0, -1.0)])
     @example(points=[(0.5, -0.5j, 0.5, 0.5j)] * 3)
+    # Magnitudes the strategy never draws: tiny, huge, mixed scales and subnormals.
+    @example(points=[(1e-300 + 2e-300j, 3e-300j, -1e-300, 1e-300)])
+    @example(points=[(1e300, 1e300j, -1e300, 1e299 + 1e299j)])
+    @example(points=[(1.0, 1e-200j, 1e200, -1e150j)])
+    @example(points=[(5e-324, 5e-324j, 0j, 5e-324 + 5e-324j)])
     def test_lockstep_search_equals_one_point_search_bit_for_bit(self, points):
         batched = hamiltonian._max_abs_over_local_phases(points)
         oracle = [one_point_phase_search(*map(np.complex128, p)) for p in points]
@@ -574,13 +579,16 @@ class TestPhaseSearch:
     @pytest.mark.parametrize("ratio", [0.5, 1.0, 3.0, 10.0, 100.0, 1e3, 1e4, 1e5])
     def test_amplitudes_read_from_blocks_give_one_point_search_bits(self, ratio):
         pulse = shared_swap_pulse(ratio)
-        amps = []
+        register = hamiltonian._SWAP_REGISTER
+        amps, dense = [], []
         for occ_in, (occ_out, sign) in hamiltonian._SWAP_TARGETS.items():
-            evolved = fock.embed_and_apply(basis_state(hamiltonian._SWAP_REGISTER, occ_in), pulse)
-            amps.append(sign * evolved.data[hamiltonian._SWAP_REGISTER.index_of(occ_out)])
-        read = [sign * pulse.matrix[out, i] for i, out, sign in hamiltonian._SWAP_ENTRIES]
-        hexes = [[(v.real.hex(), v.imag.hex()) for v in vs] for vs in (amps, read)]
-        assert hexes[0] == hexes[1]  # signed zeros included
+            i, out = register.index_of(occ_in), register.index_of(occ_out)
+            amps.append(sign * fock.embed_and_apply(basis_state(register, occ_in), pulse).data[out])
+            dense.append(sign * pulse.matrix[out, i])
+        # The block entries the scan reads, and the dense view's entries.
+        read = [sign * pulse.blocks[t][k, p, q] for t, k, p, q, sign in hamiltonian._SWAP_ENTRIES]
+        hexes = [[(v.real.hex(), v.imag.hex()) for v in vs] for vs in (amps, read, dense)]
+        assert hexes[0] == hexes[1] == hexes[2]  # signed zeros included
         fidelity = (one_point_phase_search(*amps) / 4.0) ** 2
         assert swap_process_fidelity(ratio).hex() == fidelity.hex()
         ((_, infidelity),) = hardcore_limit_scan([ratio])
