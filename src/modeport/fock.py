@@ -189,9 +189,12 @@ class PhaseGrid:
         if self.n_points < 2:
             raise ValueError("phase grid needs at least 2 points")
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n_points) / self.n_points
+        """The grid's phase values, computed on first use; read-only, as grids are shared."""
+        points = 2.0 * np.pi * np.arange(self.n_points) / self.n_points
+        points.flags.writeable = False
+        return points
 
 
 def _sort_grids(
@@ -206,6 +209,8 @@ def _sort_grids(
     fourier_order = tuple(int(f) for f in fourier_order)
     if len(fourier_order) != len(grids):
         raise ValueError("fourier_order must have one entry per phase grid")
+    if symbols == sorted(symbols):
+        return grids, fourier_order
     order = sorted(range(len(grids)), key=lambda i: grids[i].symbol)
     return tuple(grids[i] for i in order), tuple(fourier_order[i] for i in order)
 
@@ -248,6 +253,8 @@ def _expand_axes(
 
     ``own`` names ``data``'s leading grid axes, in ``combined``'s order.
     """
+    if own == combined:
+        return data
     sizes = dict(zip(own, data.shape))
     return data.reshape(tuple(sizes.get(s, 1) for s in combined) + data.shape[len(own) :])
 
@@ -346,14 +353,19 @@ class QuantumState:
         # >= 0 or NaN, a trace < 0 if rho is not PSD.  Grid-free states are tested on
         # Python floats, where min keeps a NaN first argument, as np.minimum does.
         values = self.norms()
+        tol = NORM_ATOL if self.is_pure else TRACE_ATOL
         if values.ndim:
-            off = np.minimum(np.abs(values - 1.0), values if self.is_pure else np.abs(values)).max()
             top = values.max()
+            # Rounding is monotone, so these two bound every point's |value - 1|: within
+            # tol, the rule passes.  Otherwise (NaN too) it runs and words the message.
+            off = 0.0
+            if not (top - 1.0 <= tol and 1.0 - values.min() <= tol):
+                off = np.minimum(np.abs(values - 1.0), values if self.is_pure else np.abs(values)).max()
         else:
             top = float(values)
             off = min(abs(top - 1.0), top if self.is_pure else abs(top))
         what = "norm" if self.is_pure else "trace"
-        if not off <= (NORM_ATOL if self.is_pure else TRACE_ATOL):
+        if not off <= tol:
             raise ValueError(
                 f"state {what} must be 1 (or 0 on an impossible branch) per grid "
                 f"point; worst deviation {off:.3e}"
@@ -413,10 +425,13 @@ def _require_unitary(matrix: np.ndarray) -> float:
     """max |U+U - I| over a stack of square matrices; ValueError past NORM_ATOL or NaN.
 
     The package's one unitarity residual: operators of ``kind="unitary"`` are
-    checked by it at construction, and self-test criterion 9 prints it.
+    checked by it at construction, and self-test criterion 9 prints it.  I comes
+    off U+U's diagonal in place: each entry is ``prod - I``'s (x - 0.0 is x, -0.0 too).
     """
     prod = np.einsum("...ji,...jk->...ik", matrix.conj(), matrix)
-    dev = float(np.abs(prod - np.eye(matrix.shape[-1])).max())
+    diagonal = np.einsum("...ii->...i", prod)
+    diagonal -= 1.0
+    dev = float(np.abs(prod).max())
     if not dev <= NORM_ATOL:
         raise ValueError(f"operator is not unitary: max |U+U - I| = {dev:.3e}")
     return dev
@@ -676,7 +691,8 @@ def _contract(
                 np.einsum("...ij,...jR->...iR", sub, x[..., cols, :], out=out[..., rows, :])
     else:
         out = _apply_blocks(op, x, conj)
-    out = out.reshape(out.shape[:-2] + split.shape[len(op_axes) :]).transpose(np.argsort(axes))
+    inverse = sorted(range(len(axes)), key=axes.__getitem__)
+    out = out.reshape(out.shape[:-2] + split.shape[len(op_axes) :]).transpose(inverse)
     result = np.empty_like(data, shape=out.shape[:n_lead] + (register.dim,))
     # Splitting the basis axis into modes is a view of ``result``, whatever its layout.
     result.reshape(out.shape)[...] = out
@@ -890,6 +906,9 @@ def measure_number(state: QuantumState, modes: Sequence[str]) -> MeasurementResu
     Returns Born-rule probabilities and renormalized conditional states on
     the unmeasured modes, per phase-grid point.  Outcomes whose probability
     stays at or below ``PROB_FLOOR`` across the whole grid are omitted.
+    All outcomes are gathered and normalized as one stack, outcome axis first:
+    each outcome's slices keep the bits and layout (basis axis outermost) of a
+    gather of its group alone, and later grid means sum in that layout's order.
     """
     modes = list(modes)
     if not modes:
@@ -897,21 +916,20 @@ def measure_number(state: QuantumState, modes: Sequence[str]) -> MeasurementResu
     if len(set(modes)) != len(modes):
         raise ValueError("measured modes repeat a label")
     sub_register, readout = state.register.readout(modes)
+    groups = np.stack([group for _, group in readout])
+    index = (groups,) if state.is_pure else (groups[:, :, None], groups[:, None, :])
+    subs = np.moveaxis(state.data[(..., *index)], -1 - len(index), 0)
+    probs = _branch_probability(subs, state.is_pure)
+    conds = _normalized_branch(subs, probs, state.is_pure)
 
     outcomes: list[MeasurementOutcome] = []
     total = None
-    for occ_m, group in readout:
-        if state.is_pure:
-            sub = state.data[..., group]
-        else:
-            sub = state.data[..., group[:, None], group[None, :]]
-        prob = _branch_probability(sub, state.is_pure)
+    for (occ_m, _), prob, data in zip(readout, probs, conds):
         total = prob if total is None else total + prob
         if prob.max() <= PROB_FLOOR:
             continue
         cond = None
         if sub_register is not None:
-            data = _normalized_branch(sub, prob, state.is_pure)
             cond = QuantumState(sub_register, data, state.grids, state.fourier_order)
         outcomes.append(
             MeasurementOutcome(occ_m, prob, cond, state.grids, state.fourier_order)

@@ -50,7 +50,9 @@ def phase_gate(register: ModeRegister, mode: str, angle: float) -> LinearOperato
 
 
 def _phase_gate(sub: ModeRegister, angle: float) -> LinearOperator:
-    small = np.diag([1.0, np.exp(1j * angle)]).astype(np.complex128)
+    small = np.zeros((2, 2), dtype=np.complex128)
+    small[0, 0] = 1.0
+    small[1, 1] = np.exp(1j * angle)
     return LinearOperator(sub, small, kind="unitary")
 
 
@@ -66,8 +68,7 @@ def number_rotation_matrix(theta_prime: float, theta: float | np.ndarray) -> np.
     has shape (*theta.shape, 2, 2).
     """
     theta = np.asarray(theta, dtype=np.float64)
-    c = np.cos(theta_prime) * np.ones_like(theta)
-    s = np.sin(theta_prime)
+    c, s = np.cos(theta_prime), np.sin(theta_prime)
     mat = np.empty(theta.shape + (2, 2), dtype=np.complex128)
     mat[..., 0, 0] = c
     mat[..., 1, 0] = -1j * np.exp(1j * theta) * s

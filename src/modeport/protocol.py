@@ -291,8 +291,9 @@ def run_teleportation(
         corrected, status = feed_forward(bell, outcome.state)
         fid = np.asarray(fidelity(corrected, target))
         valid = outcome.probability > PROB_FLOOR
-        fid_min = float(fid[valid].min())
-        fid_mean = float(fid[valid].mean())
+        kept = fid[valid]
+        fid_min = float(kept.min())
+        fid_mean = float(kept.sum() / kept.size)  # as np.mean computes it
         ssr_states.append(phase_average(corrected, outcome.probability))
         record = OutcomeRecord(
             n_a=bell.n_a,

@@ -236,6 +236,50 @@ def test_branch_and_metric_rules_match_their_references_bit_for_bit(case, mixed,
         assert_same_value(trace_distance(x, y), reference_trace_distance(x, y))
 
 
+def same_measurement(state, modes):
+    """``measure_number`` against the reference: outcomes, then each one's arrays by bytes and layout."""
+    result = measure_number(state, modes)
+    reference = reference_measurement(state, modes)
+    assert [o.occupations for o in result] == [occ for occ, _, _ in reference]
+    for outcome, (_, prob, cond) in zip(result, reference):
+        assert type(outcome.probability) is type(prob)
+        assert_same_array(outcome.probability, prob)
+        if cond is None:
+            assert outcome.state is None
+        else:
+            assert_same_array(outcome.state.data, cond)
+    return result
+
+
+@settings(max_examples=25, deadline=None)
+@given(circuit=circuits(), mixed=st.booleans(), grid_free=st.booleans(), data=st.data())
+def test_measurements_of_grid_free_and_fully_measured_states_match_the_reference(
+    circuit, mixed, grid_free, data
+):
+    # The whole register may be measured, which leaves no conditional state.
+    state = circuit_state(circuit, mixed, grid_free)
+    labels = st.sampled_from(list(state.register.labels))
+    same_measurement(state, data.draw(st.lists(labels, min_size=1, unique=True)))
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("gridded", [False, True])
+def test_an_outcome_impossible_at_every_point_is_omitted_as_the_reference_omits_it(mixed, gridded):
+    # m0 (most significant) holds its particle at every point, so no outcome
+    # with m0 = 0 has a nonzero amplitude anywhere.
+    rng = np.random.default_rng(7)
+    grids = [PhaseGrid("zeta", 4)] if gridded else []
+    rest = random_start(qubit_register(2), grids, rng)
+    data = np.zeros(rest.data.shape[:-1] + (8,), dtype=np.complex128)
+    data[..., 4:] = rest.data
+    state = QuantumState(qubit_register(3), data, grids, [0] * len(grids))
+    if mixed:
+        state = QuantumState(state.register, state.density_data(), grids, [0] * len(grids))
+    assert [o.occupations for o in same_measurement(state, ["m0"])] == [(1,)]
+    result = same_measurement(state, ["m1", "m0"])
+    assert [o.occupations for o in result] == [(0, 1), (1, 1)]
+
+
 def test_renormalize_refuses_by_the_norm_not_its_square():
     # The annihilator leaves norm 1e-10, over PROB_FLOOR, though its square is not.
     register = qubit_register(1)
