@@ -135,21 +135,28 @@ class ModeRegister:
     def readout(self, labels: Sequence[str]) -> tuple:
         """Number-readout tables of the modes ``labels``, in that order.
 
-        Returns the sub-register of the other modes (None if none is left)
-        and, per outcome in row-major order of ``labels``' occupations, the
-        occupation tuple and the ascending, read-only basis indices showing it.
+        Returns ``(rest, occupations, groups)``: the sub-register of the other
+        modes (None if none is left); the outcomes' occupation tuples of
+        Python ints, in row-major order of ``labels`` as ``np.ndindex`` yields
+        them; and one read-only ``(outcomes, size)`` table whose row k holds
+        the ascending basis indices that show outcome k.  Every row has the
+        same size, as the register is the full product of its modes' ranges.
         """
         labels = tuple(labels)
         if labels not in self._readouts:
+            if not labels:
+                raise ValueError("measure at least one mode")
+            if len(set(labels)) != len(labels):
+                raise ValueError("measured modes repeat a label")
             positions = [self.position(label) for label in labels]
-            measured = self.occupations[:, positions]
-            outcomes = []
-            for occupation in np.ndindex(*(self.dims[p] for p in positions)):
-                group = np.flatnonzero((measured == occupation).all(axis=1))
-                group.flags.writeable = False
-                outcomes.append((occupation, group))
+            shape = tuple(self.dims[p] for p in positions)
+            # A stable sort of each state's outcome index keeps each row ascending.
+            outcome = np.ravel_multi_index(self.occupations[:, positions].T, shape)
+            groups = np.argsort(outcome, kind="stable").reshape(math.prod(shape), -1)
+            groups.flags.writeable = False
             rest = [label for label in self.labels if label not in labels]
-            self._readouts[labels] = (self.restricted(rest) if rest else None, tuple(outcomes))
+            rest = self.restricted(rest) if rest else None
+            self._readouts[labels] = (rest, tuple(np.ndindex(*shape)), groups)
         return self._readouts[labels]
 
     def __eq__(self, other) -> bool:
@@ -197,9 +204,11 @@ class PhaseGrid:
         return points
 
 
-def _sort_grids(
+def _check_grids(
     grids: Sequence[PhaseGrid], fourier_order: Sequence[int]
 ) -> tuple[tuple[PhaseGrid, ...], tuple[int, ...]]:
+    """``grids`` and ``fourier_order`` as tuples; ValueError unless each symbol
+    is listed once, in sorted order, with one Fourier order per grid."""
     grids, fourier_order = tuple(grids), tuple(fourier_order)
     if not grids and not fourier_order:
         return grids, fourier_order
@@ -209,10 +218,9 @@ def _sort_grids(
     fourier_order = tuple(int(f) for f in fourier_order)
     if len(fourier_order) != len(grids):
         raise ValueError("fourier_order must have one entry per phase grid")
-    if symbols == sorted(symbols):
-        return grids, fourier_order
-    order = sorted(range(len(grids)), key=lambda i: grids[i].symbol)
-    return tuple(grids[i] for i in order), tuple(fourier_order[i] for i in order)
+    if symbols != sorted(symbols):
+        raise ValueError(f"phase grids must be in symbol order {sorted(symbols)}, got {symbols}")
+    return grids, fourier_order
 
 
 def _merge_grids(
@@ -273,11 +281,12 @@ class QuantumState:
 
     ``data`` has shape ``(*grid_shape, dim)`` for pure states and
     ``(*grid_shape, dim, dim)`` for density matrices, with one leading axis
-    per phase grid, ordered by symbol.  Per grid point, pure vectors are unit
-    norm and density matrices are Hermitian, positive semidefinite and unit
-    trace; a measurement branch that is impossible at some grid point may
-    store the zero vector (zero matrix) there instead, but not at every
-    point.  ``fourier_order`` holds one amplitude Fourier order per grid.
+    per phase grid; ``grids`` must be listed in symbol order.  Per grid
+    point, pure vectors are unit norm and density matrices are Hermitian,
+    positive semidefinite and unit trace; a measurement branch that is
+    impossible at some grid point may store the zero vector (zero matrix)
+    there instead, but not at every point.  ``fourier_order`` holds one
+    amplitude Fourier order per grid.
 
     Treat instances as immutable; operations return new states.
     """
@@ -291,7 +300,7 @@ class QuantumState:
         validate: bool = True,
     ):
         self.register = register
-        self.grids, self.fourier_order = _sort_grids(grids, fourier_order)
+        self.grids, self.fourier_order = _check_grids(grids, fourier_order)
         self.phase_symbols = tuple(g.symbol for g in self.grids)
         self.grid_shape = grid_shape = tuple(g.n_points for g in self.grids)
         data = np.asarray(data, dtype=np.complex128)
@@ -465,7 +474,7 @@ class LinearOperator:
             raise ValueError("an operator needs either a matrix or sector blocks")
         self.register = register
         self.kind = kind
-        self.grids, self.fourier_order = _sort_grids(grids, fourier_order)
+        self.grids, self.fourier_order = _check_grids(grids, fourier_order)
         self.phase_symbols = tuple(g.symbol for g in self.grids)
         if blocks is not None:
             blocks = tuple(np.asarray(b, dtype=np.complex128) for b in blocks)
@@ -836,29 +845,24 @@ def phase_average(
     )
 
 
+@dataclass(eq=False)
 class MeasurementOutcome:
     """One projective number-measurement outcome.
 
-    ``probability`` has the state's grid shape (0-dimensional when the state
-    carries no phase symbols).  ``state`` is the conditional state on the
-    unmeasured modes, normalized per grid point, with the zero vector at grid
-    points where the outcome is impossible; it is ``None`` when every mode
-    was measured.
+    ``occupations`` is the outcome's occupation tuple of Python ints, in the
+    order the modes were measured.  ``probability`` has the state's grid
+    shape (0-dimensional when the state carries no phase symbols).  ``state``
+    is the conditional state on the unmeasured modes, normalized per grid
+    point, with the zero vector at grid points where the outcome is
+    impossible; it is ``None`` when every mode was measured.  ``grids`` and
+    ``fourier_order`` are the measured state's.
     """
 
-    def __init__(
-        self,
-        occupations: tuple[int, ...],
-        probability: np.ndarray,
-        state: QuantumState | None,
-        grids: tuple[PhaseGrid, ...],
-        fourier_order: tuple[int, ...],
-    ):
-        self.occupations = occupations
-        self.probability = probability
-        self.state = state
-        self.grids = grids
-        self.fourier_order = fourier_order
+    occupations: tuple[int, ...]
+    probability: np.ndarray
+    state: QuantumState | None
+    grids: tuple[PhaseGrid, ...]
+    fourier_order: tuple[int, ...]
 
     @property
     def mean_probability(self) -> float:
@@ -880,11 +884,11 @@ class MeasurementOutcome:
         )
 
 
+@dataclass(eq=False)
 class MeasurementResult:
     """All retained outcomes of a projective number measurement."""
 
-    def __init__(self, outcomes: list[MeasurementOutcome]):
-        self.outcomes = outcomes
+    outcomes: list[MeasurementOutcome]
 
     def outcome(self, occupations: Sequence[int]) -> MeasurementOutcome:
         occupations = tuple(int(n) for n in occupations)
@@ -906,26 +910,20 @@ def measure_number(state: QuantumState, modes: Sequence[str]) -> MeasurementResu
     Returns Born-rule probabilities and renormalized conditional states on
     the unmeasured modes, per phase-grid point.  Outcomes whose probability
     stays at or below ``PROB_FLOOR`` across the whole grid are omitted.
-    All outcomes are gathered and normalized as one stack, outcome axis first:
-    each outcome's slices keep the bits and layout (basis axis outermost) of a
-    gather of its group alone, and later grid means sum in that layout's order.
+    All outcomes are gathered from the register's readout table (see
+    :meth:`ModeRegister.readout`) and normalized as one stack, outcome axis
+    first: each outcome's slices keep the bits and layout (basis axis
+    outermost) of a gather of its group alone, and later grid means sum in
+    that layout's order.
     """
-    modes = list(modes)
-    if not modes:
-        raise ValueError("measure at least one mode")
-    if len(set(modes)) != len(modes):
-        raise ValueError("measured modes repeat a label")
-    sub_register, readout = state.register.readout(modes)
-    groups = np.stack([group for _, group in readout])
+    sub_register, occupations, groups = state.register.readout(modes)
     index = (groups,) if state.is_pure else (groups[:, :, None], groups[:, None, :])
     subs = np.moveaxis(state.data[(..., *index)], -1 - len(index), 0)
     probs = _branch_probability(subs, state.is_pure)
     conds = _normalized_branch(subs, probs, state.is_pure)
 
     outcomes: list[MeasurementOutcome] = []
-    total = None
-    for (occ_m, _), prob, data in zip(readout, probs, conds):
-        total = prob if total is None else total + prob
+    for occ_m, prob, data in zip(occupations, probs, conds):
         if prob.max() <= PROB_FLOOR:
             continue
         cond = None
@@ -934,6 +932,7 @@ def measure_number(state: QuantumState, modes: Sequence[str]) -> MeasurementResu
         outcomes.append(
             MeasurementOutcome(occ_m, prob, cond, state.grids, state.fourier_order)
         )
+    total = probs.sum(axis=0)
     if np.abs(total - state.norms() ** (2 if state.is_pure else 1)).max() > 1e-10:
         raise AssertionError("measurement probabilities do not sum to the state norm")
     return MeasurementResult(outcomes)

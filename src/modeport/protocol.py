@@ -191,10 +191,7 @@ def bell_state_analysis(
     out = embed_and_apply(out, number_rotation_gate(register, first, np.pi / 4, grid))
     out = embed_and_apply(out, number_rotation_gate(register, second, np.pi / 4, grid))
     measurement = measure_number(out, [first, second])
-    classified = [
-        (BellOutcome(int(o.occupations[0]), int(o.occupations[1])), o)
-        for o in measurement.outcomes
-    ]
+    classified = [(BellOutcome(*o.occupations), o) for o in measurement.outcomes]
     return BellAnalysisResult(state=out, measurement=measurement, outcomes=classified)
 
 
@@ -421,10 +418,7 @@ def run_dense_coding(message: int, grid_points: int = 16) -> DenseCodingResult:
     encoded = encode_dense_message(pair, message, "A", grid)
     analysis = bell_state_analysis(encoded, grid, modes=("A", "B"))
 
-    outcomes = {
-        (int(o.occupations[0]), int(o.occupations[1])): o
-        for o in analysis.measurement.outcomes
-    }
+    outcomes = {o.occupations: o for o in analysis.measurement.outcomes}
     best_occ = max(outcomes, key=lambda occ: outcomes[occ].mean_probability)
     min_winning = float(np.min(outcomes[best_occ].probability))
     deterministic = min_winning >= 1.0 - 1e-12

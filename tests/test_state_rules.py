@@ -7,8 +7,12 @@ alignment in ``fidelity`` and ``trace_distance``.  The grid mean is checked
 against ``np.mean``, whose sum-then-divide it spells out, and the kept norms
 and grid bookkeeping against fresh computations.  Random pure and density
 circuits go through both; arrays must match in bytes and memory layout, and
-scalars in their hex digits.
+scalars in their hex digits.  The reference measurement gathers its groups by
+a plain comparison per outcome, against which the register's readout table
+is also checked.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from hypothesis import strategies as st
 from modeport.fock import (
     PROB_FLOOR,
     LinearOperator,
+    ModeRegister,
     PhaseGrid,
     QuantumState,
     _clip_spectrum,
@@ -26,7 +31,7 @@ from modeport.fock import (
     _maybe_scalar,
     _merge_grids,
     _psd_sqrt,
-    _sort_grids,
+    _check_grids,
     basis_state,
     embed_and_apply,
     fidelity,
@@ -67,11 +72,22 @@ def reference_renormalized_apply(state, op):
     return out
 
 
+def reference_readout(register, modes):
+    """``register.readout(modes)`` by the plain per-outcome rule: one comparison
+    of the measured modes' occupations per outcome, without the register's table."""
+    positions = [register.position(mode) for mode in modes]
+    occupations = list(np.ndindex(*(register.dims[p] for p in positions)))
+    measured = register.occupations[:, positions]
+    groups = [np.flatnonzero((measured == occ).all(axis=1)) for occ in occupations]
+    rest = [label for label in register.labels if label not in modes]
+    return (register.restricted(rest) if rest else None), occupations, groups
+
+
 def reference_measurement(state, modes):
     """(occupations, probability, conditional data or None) per retained outcome."""
-    sub_register, readout = state.register.readout(modes)
+    sub_register, occupations, groups = reference_readout(state.register, modes)
     outcomes = []
-    for occ_m, group in readout:
+    for occ_m, group in zip(occupations, groups):
         if state.is_pure:
             sub = state.data[..., group]
             prob = np.sum(np.abs(sub) ** 2, axis=-1)
@@ -280,6 +296,25 @@ def test_an_outcome_impossible_at_every_point_is_omitted_as_the_reference_omits_
     assert [o.occupations for o in result] == [(0, 1), (1, 1)]
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_readout_table_matches_the_per_outcome_rule(data):
+    cutoffs = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+    register = ModeRegister((f"m{i}", d) for i, d in enumerate(cutoffs))
+    labels = st.sampled_from(register.labels)
+    modes = data.draw(st.lists(labels, min_size=1, max_size=3, unique=True))
+    rest, occupations, groups = readout = register.readout(modes)
+    want_rest, want_occupations, want_groups = reference_readout(register, modes)
+    assert rest == want_rest
+    assert occupations == tuple(want_occupations)
+    assert all(type(n) is int for occ in occupations for n in occ)
+    assert groups.shape == (len(want_groups), register.dim // len(want_groups))
+    for row, want in zip(groups, want_groups):
+        assert row.tolist() == want.tolist()
+    assert not groups.flags.writeable
+    assert register.readout(list(modes)) is readout
+
+
 def test_renormalize_refuses_by_the_norm_not_its_square():
     # The annihilator leaves norm 1e-10, over PROB_FLOOR, though its square is not.
     register = qubit_register(1)
@@ -393,10 +428,29 @@ def test_one_norm_computation_serves_validation_and_measurement(monkeypatch):
 
 
 def test_grid_free_sort_returns_at_once_and_a_stray_order_still_raises():
-    assert _sort_grids((), ()) == ((), ())
-    assert _sort_grids([], iter(())) == ((), ())
+    assert _check_grids((), ()) == ((), ())
+    assert _check_grids([], iter(())) == ((), ())
     with pytest.raises(ValueError, match="one entry per phase grid"):
-        _sort_grids((), (1,))
+        _check_grids((), (1,))
+
+
+def test_grids_listed_out_of_symbol_order_are_refused():
+    # The phase sits on axis 0, the axis the out-of-order list names first.
+    register = qubit_register(1)
+    grids = (PhaseGrid("b", 4), PhaseGrid("a", 4))
+    vector = np.stack([np.ones(4), np.exp(1j * grids[0].points)], axis=-1) / np.sqrt(2.0)
+    data = np.broadcast_to(vector[:, None, :], (4, 4, 2)).copy()
+    message = re.escape("phase grids must be in symbol order ['a', 'b'], got ['b', 'a']")
+    with pytest.raises(ValueError, match=message):
+        QuantumState(register, data, grids=grids, fourier_order=(1, 0))
+    eye = np.broadcast_to(np.eye(2), (4, 4, 2, 2))
+    with pytest.raises(ValueError, match=message):
+        LinearOperator(register, eye, kind="unitary", grids=grids, fourier_order=(0, 0))
+    # Listed in symbol order, with the axes to match, the same state is kept as given.
+    state = QuantumState(register, data.swapaxes(0, 1), grids=grids[::-1], fourier_order=(0, 1))
+    assert state.grids == grids[::-1] and state.fourier_order == (0, 1)
+    coherence = phase_average(state, symbols=["b"]).data[..., 0, 1]
+    assert np.abs(coherence).max() < 1e-15
 
 
 def reference_union(a_grids, a_orders, b_grids, b_orders):
