@@ -51,13 +51,19 @@ def check_register_size(dims: Sequence[int]) -> int:
     return dim
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, marked read-only: every array the package shares is."""
+    array.flags.writeable = False
+    return array
+
+
 class ModeRegister:
     """Ordered collection of bosonic modes with per-mode occupation cutoffs.
 
     Each mode is a ``(label, dim)`` pair; occupations run 0 .. dim - 1.  The
-    occupation, total-number and sector tables are built on first use and
-    kept with the register, as are the sub-registers ``restricted`` returns
-    and the tables ``readout`` returns.
+    occupation, total-number and sector tables are built on first use, kept
+    with the register and read-only, as are the tables ``readout`` returns;
+    the sub-registers ``restricted`` returns are kept too.
     """
 
     def __init__(self, modes: Iterable[tuple[str, int]]):
@@ -83,11 +89,11 @@ class ModeRegister:
     @cached_property
     def occupations(self) -> np.ndarray:
         """(dim, n_modes) table of occupation tuples in basis order."""
-        return np.indices(self.dims, dtype=np.int64).reshape(self.n_modes, -1).T
+        return _read_only(np.indices(self.dims, dtype=np.int64).reshape(self.n_modes, -1).T)
 
     @cached_property
     def total_numbers(self) -> np.ndarray:
-        return self.occupations.sum(axis=1)
+        return _read_only(self.occupations.sum(axis=1))
 
     @property
     def n_modes(self) -> int:
@@ -122,7 +128,8 @@ class ModeRegister:
         sizes = np.bincount(self.total_numbers)
         starts = np.cumsum(sizes) - sizes
         present = np.flatnonzero(np.bincount(sizes))  # the sector sizes, ascending
-        return tuple(order[starts[sizes == s][:, None] + np.arange(s)] for s in present)
+        rows = (starts[sizes == s][:, None] + np.arange(s) for s in present)
+        return tuple(_read_only(order[r]) for r in rows)
 
     def restricted(self, labels: Sequence[str]) -> "ModeRegister":
         """Sub-register containing ``labels``, kept in this register's order."""
@@ -152,8 +159,7 @@ class ModeRegister:
             shape = tuple(self.dims[p] for p in positions)
             # A stable sort of each state's outcome index keeps each row ascending.
             outcome = np.ravel_multi_index(self.occupations[:, positions].T, shape)
-            groups = np.argsort(outcome, kind="stable").reshape(math.prod(shape), -1)
-            groups.flags.writeable = False
+            groups = _read_only(np.argsort(outcome, kind="stable").reshape(math.prod(shape), -1))
             rest = [label for label in self.labels if label not in labels]
             rest = self.restricted(rest) if rest else None
             self._readouts[labels] = (rest, tuple(np.ndindex(*shape)), groups)
@@ -199,9 +205,7 @@ class PhaseGrid:
     @cached_property
     def points(self) -> np.ndarray:
         """The grid's phase values, computed on first use; read-only, as grids are shared."""
-        points = 2.0 * np.pi * np.arange(self.n_points) / self.n_points
-        points.flags.writeable = False
-        return points
+        return _read_only(2.0 * np.pi * np.arange(self.n_points) / self.n_points)
 
 
 def _check_grids(
@@ -528,43 +532,42 @@ class LinearOperator:
         return f"LinearOperator({self.kind}, {self.register!r}, symbols={sym})"
 
 
-# An operator is kept while its register's states times its grid points are at
-# most OPERATOR_CACHE_DIM: a rotation pulse at that limit holds about 1.05 MB
-# with its register's tables, so the cache retains at most about 32 MB.
-OPERATOR_CACHE_SIZE = 32
-OPERATOR_CACHE_DIM = 2**14
-_operators: OrderedDict[tuple, LinearOperator] = OrderedDict()
+# A value is kept while its arrays hold at most CACHE_ENTRIES entries: a
+# rotation pulse at that limit holds about 1.05 MB with its register's tables,
+# so the cache retains at most about 32 MB.
+CACHE_SIZE = 32
+CACHE_ENTRIES = 2**15
+_cache: OrderedDict[tuple, LinearOperator | tuple] = OrderedDict()
 
 
 def _exact_key(args: tuple) -> tuple:
     """``args`` with the type and sign of each real one: -0.0 == 0.0 and
     float32(x) == x, but they build different bits, so they get separate keys."""
-    kinds = tuple(
-        (type(a), math.copysign(1.0, a)) for a in args if isinstance(a, numbers.Real)
-    )
+    kinds = tuple((type(a), math.copysign(1.0, a)) for a in args if isinstance(a, numbers.Real))
     return args, kinds
 
 
-def shared_operator(build: Callable[..., LinearOperator], *args) -> LinearOperator:
-    """``build(*args)`` with its arrays read-only, from one bounded LRU cache.
+def shared(build: Callable, *args):
+    """``build(*args)`` with its arrays read-only, from the package's one bounded LRU cache.
 
-    An operator is kept only if its register's states times its grid points
-    are at most ``OPERATOR_CACHE_DIM``; a larger one, or a build that raises,
-    leaves the cache as it was.
+    A value is a :class:`LinearOperator`, whose arrays are its blocks or
+    matrix, or a tuple, whose arrays are its ndarray members.  It is kept only
+    if those arrays hold at most ``CACHE_ENTRIES`` entries; a larger one, or a
+    build that raises, leaves the cache as it was.
     """
     key = (build, _exact_key(args))
-    op = _operators.get(key)
-    if op is not None:
-        _operators.move_to_end(key)
-        return op
-    op = build(*args)
-    for array in op.blocks or (op._matrix,):
-        array.flags.writeable = False
-    if op.register.dim * math.prod(g.n_points for g in op.grids) <= OPERATOR_CACHE_DIM:
-        _operators[key] = op
-        if len(_operators) > OPERATOR_CACHE_SIZE:
-            _operators.popitem(last=False)
-    return op
+    value = _cache.get(key)
+    if value is not None:
+        _cache.move_to_end(key)
+        return value
+    value = build(*args)
+    arrays = (value.blocks or (value._matrix,)) if isinstance(value, LinearOperator) else value
+    arrays = [_read_only(a) for a in arrays if isinstance(a, np.ndarray)]
+    if sum(a.size for a in arrays) <= CACHE_ENTRIES:
+        _cache[key] = value
+        if len(_cache) > CACHE_SIZE:
+            _cache.popitem(last=False)
+    return value
 
 
 def ladder_operator(register: ModeRegister, mode: str, which: str) -> LinearOperator:
@@ -1015,5 +1018,5 @@ def entanglement_entropy(state: QuantumState, keep: Sequence[str]):
     w = np.linalg.eigvalsh(reduced.data)
     w = np.clip(w, 0.0, None)
     logs = np.log2(np.clip(w, 1e-15, None))
-    value = -(w * logs).sum(axis=-1)
+    value = 0.0 - (w * logs).sum(axis=-1)  # not a unary minus: a product state's 0 stays +0.0
     return _maybe_scalar(value, bool(state.grids))

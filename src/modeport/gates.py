@@ -9,8 +9,8 @@ symmetric Bell state); see :func:`hopping_gate`.  The reservoir-assisted rotatio
 carries the reservoir phase as a :class:`PhaseGrid` symbol and is
 instantiated at every grid point.
 
-Each builder returns a shared, read-only operator from the one operator
-cache, :func:`modeport.fock.shared_operator`, keyed on the target labels and
+Each builder returns a shared, read-only operator from the package's one
+cache, :func:`modeport.fock.shared`, keyed on the target labels and
 the builder's other arguments, so a circuit that repeats a gate builds it
 once.  The key holds the labels, not the caller's register, so the cache keeps
 no large register alive; the targets are checked on every call.
@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import LinearOperator, ModeRegister, PhaseGrid, shared_operator
+from .fock import LinearOperator, ModeRegister, PhaseGrid, shared
 
 
 def _on_qubits(build: Callable, labels: tuple[str, ...], *args) -> LinearOperator:
@@ -37,7 +37,7 @@ def _shared_gate(build: Callable, register: ModeRegister, labels: tuple[str, ...
         dim = register.dims[register.position(label)]
         if dim != 2:
             raise ValueError(f"mode {label!r} has cutoff {dim}; gate needs a qubit mode")
-    return shared_operator(_on_qubits, build, labels, *args)
+    return shared(_on_qubits, build, labels, *args)
 
 
 def phase_gate(register: ModeRegister, mode: str, angle: float) -> LinearOperator:

@@ -21,10 +21,9 @@ The two scans in this module quantify the two idealizations behind the gate
 library: the hard-core limit that turns tunneling into a fermionic-style
 swap, and the large-reservoir limit behind the ideal number rotation.  A scan
 point's pulse depends only on U/J or nbar, so each is built once per process
-and shared read-only from the package's one operator cache
-(:func:`~modeport.fock.shared_operator`), the cache that also holds the gates;
-a pulse on more than ``OPERATOR_CACHE_DIM`` states is built anew on every call,
-as is a gridded gate whose states times grid points exceed that limit.
+and shared read-only from the package's one cache (:func:`~modeport.fock.shared`),
+with the gates and coherent-state magnitudes; a pulse whose sector blocks hold more
+than ``CACHE_ENTRIES`` entries (over 2**14 states) is built anew on every call.
 The hard-core scan reads each ratio's four swap amplitudes from its cached
 pulse's sector blocks, at block positions found once at import, and optimizes
 the local phases of all ratios in one lockstep search, bit for bit the values
@@ -55,7 +54,7 @@ from .fock import (
     check_register_size,
     embed_and_apply,
     partial_trace,
-    shared_operator,
+    shared,
     trace_distance,
 )
 from .gates import number_rotation_matrix
@@ -299,7 +298,7 @@ def _swap_fidelities(ratios: Sequence[float]) -> list[float]:
             )
     amplitudes = []
     for ratio in ratios:
-        blocks = shared_operator(_swap_pulse, ratio).blocks
+        blocks = shared(_swap_pulse, ratio).blocks
         amplitudes.append([sign * blocks[t][k, p, q] for t, k, p, q, sign in _SWAP_ENTRIES])
     return [(best / 4.0) ** 2 for best in _max_abs_over_local_phases(amplitudes)]
 
@@ -364,7 +363,7 @@ def _rotation_point(nbar: float, theta: float, targets: list[QuantumState]) -> f
     # First, so that a bad nbar or theta is refused before the pulse is built; an
     # oversized register was refused by the scan before anything was allocated.
     res_state, _ = coherent_state(ReservoirSpec("res", nbar), theta)
-    pulse = shared_operator(_rotation_pulse, nbar)
+    pulse = shared(_rotation_pulse, nbar)
     if not targets:  # the scan's ideal outputs for inputs |0> and |1>, once theta is accepted
         ideal = number_rotation_matrix(np.pi / 4, theta)
         probe = pulse.register.restricted(["probe"])

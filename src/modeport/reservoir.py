@@ -19,11 +19,10 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .fock import OPERATOR_CACHE_DIM, ModeRegister, QuantumState, _exact_key, phase_average
+from .fock import ModeRegister, QuantumState, phase_average, shared
 
 SSR_ATOL = 1e-12
 
@@ -96,10 +95,8 @@ def ssr_compliance_check(state: QuantumState) -> SsrReport:
     return SsrReport(compliant=max_off <= SSR_ATOL, max_offblock_norm=max_off)
 
 
-@lru_cache(maxsize=8)
-def _magnitudes(key: tuple) -> tuple[ModeRegister, np.ndarray, np.ndarray]:
-    """:func:`coherent_state`'s theta-free register, n and magnitudes, read-only, per key."""
-    (label, nbar, cutoff), _ = key
+def _magnitudes(label: str, nbar: float, cutoff: int) -> tuple:
+    """:func:`coherent_state`'s theta-free register, n and magnitudes."""
     # Built first, so a cutoff past MAX_REGISTER_DIM is refused before any allocation.
     register = ModeRegister([(label, cutoff)])
     n = np.arange(cutoff)
@@ -107,7 +104,6 @@ def _magnitudes(key: tuple) -> tuple[ModeRegister, np.ndarray, np.ndarray]:
     log_mag = -nbar / 2.0 + 0.5 * n * math.log(nbar)
     log_mag -= 0.5 * np.fromiter(map(math.lgamma, (n + 1.0).tolist()), np.float64, n.size)
     magnitudes = np.exp(log_mag, out=log_mag)  # in place: no second cutoff-long array
-    n.flags.writeable = magnitudes.flags.writeable = False
     return register, n, magnitudes
 
 
@@ -119,13 +115,13 @@ def coherent_state(spec: ReservoirSpec, theta: float) -> tuple[QuantumState, flo
     with the norm deficit of the truncated expansion before renormalization.
     ``theta`` must be finite; it is reduced to atan2(sin theta, cos theta), as
     exp(i theta) is, so rounding theta * n cannot scramble a large theta's phases.
-    Its theta-free magnitudes are kept per spec under the operator cache's size rule.
+    Its theta-free magnitudes come read-only from the package's one cache,
+    :func:`modeport.fock.shared`, under that cache's size rule.
     """
     if not math.isfinite(theta):
         raise ValueError(f"reservoir phase theta {theta!r} must be finite")
     theta = math.atan2(math.sin(theta), math.cos(theta))
-    build = _magnitudes if spec.cutoff <= OPERATOR_CACHE_DIM else _magnitudes.__wrapped__
-    register, n, magnitudes = build(_exact_key((spec.label, spec.nbar, spec.cutoff)))
+    register, n, magnitudes = shared(_magnitudes, spec.label, spec.nbar, spec.cutoff)
     amps = magnitudes * np.exp(1j * theta * n)
     norm_sq = float((np.abs(amps) ** 2).sum())
     return QuantumState(register, amps / math.sqrt(norm_sq)), 1.0 - norm_sq

@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from modeport.fock import NORM_ATOL, PhaseGrid, _require_unitary, build_register, shared_operator
+from modeport.fock import NORM_ATOL, PhaseGrid, _require_unitary, build_register, shared
 from modeport.gates import fermionic_swap_gate, hopping_gate, number_rotation_gate, phase_gate
 from modeport.hamiltonian import _rotation_pulse, _swap_pulse
 from modeport.protocol import ANALYSIS_RESERVOIR, random_spec_corpus, run_teleportation
@@ -110,7 +110,7 @@ class TestOneUnitarityRule:
         + [(_rotation_pulse, n) for n in (4.0, 16.0, 64.0, 256.0)],
     )
     def test_default_scan_pulses_within_norm_atol(self, build, point):
-        pulse = shared_operator(build, point)
+        pulse = shared(build, point)
         for block in pulse.blocks:
             assert _require_unitary(block) <= NORM_ATOL
 

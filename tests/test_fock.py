@@ -573,6 +573,20 @@ class TestMetrics:
         assert abs(oracle - 1.5) < 1e-15
         assert abs(entanglement_entropy(state, ["A"]) - 1.5) < 1e-12
         assert abs(entanglement_entropy(state, ["B"]) - 1.5) < 1e-12
+        for keep in (["A"], ["B"]):
+            assert entanglement_entropy(state, keep).hex() == "0x1.8000000000000p+0"
+
+    def test_product_state_entropy_is_positive_zero(self):
+        # The zero eigenvalues' terms are -0.0, so a negated sum would read -0.0 bits.
+        reg = build_register([("A", 3), ("B", 3)])
+        plain = basis_state(reg, (0, 0))
+        data = np.tile(basis_state(reg, (1, 2)).data, (4, 1))
+        gridded = QuantumState(reg, data, grids=(PhaseGrid("th", 4),), fourier_order=(0,))
+        assert math.copysign(1.0, entanglement_entropy(plain, ["A"])) == 1.0
+        values = entanglement_entropy(gridded, ["A"])
+        assert values.shape == (4,)
+        assert [math.copysign(1.0, v) for v in values] == [1.0] * 4
+        assert not values.any()
 
 
 class TestStateInvariants:

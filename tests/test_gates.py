@@ -249,17 +249,9 @@ class TestSharedGates:
                 gate.matrix[..., 0, 0] = 2.0
 
     def test_cache_is_bounded(self, pair):
-        for angle in np.linspace(0.0, 1.0, 3 * fock.OPERATOR_CACHE_SIZE):
+        for angle in np.linspace(0.0, 1.0, 3 * fock.CACHE_SIZE):
             phase_gate(pair, "a", float(angle))
-        assert len(fock._operators) <= fock.OPERATOR_CACHE_SIZE
-
-    def test_size_rule_counts_grid_points(self, pair):
-        # A one-mode gate has 2 states, so 2**13 grid points reach OPERATOR_CACHE_DIM.
-        def build(points):
-            return number_rotation_gate(pair, "A", 0.3, PhaseGrid("big", points))
-
-        assert build(2**13) is build(2**13)
-        assert build(2**14) is not build(2**14)
+        assert len(fock._cache) <= fock.CACHE_SIZE
 
     def test_large_grid_gates_are_not_retained(self, pair):
         # Each gate on 2**16 points holds 4 MB; a full cache of them would keep 128 MB.
@@ -267,7 +259,7 @@ class TestSharedGates:
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            for k in range(fock.OPERATOR_CACHE_SIZE):
+            for k in range(fock.CACHE_SIZE):
                 number_rotation_gate(pair, "A", 0.01 * (k + 1), grid)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:

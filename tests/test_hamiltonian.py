@@ -13,18 +13,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modeport import fock, hamiltonian
+from modeport import fock, hamiltonian, reservoir
 from modeport.cli import RunConfig, main
 from modeport.fock import (
     LinearOperator,
+    PhaseGrid,
     QuantumState,
     basis_state,
     build_register,
     from_amplitudes,
     ladder_operator,
-    shared_operator,
+    shared,
 )
-from modeport.gates import number_rotation_matrix, phase_gate
+from modeport.gates import number_rotation_gate, number_rotation_matrix, phase_gate
 from modeport.hamiltonian import (
     MAX_SWAP_RATIO,
     HamiltonianParams,
@@ -618,7 +619,7 @@ def per_input_rotation_deviation(nbar, theta=0.0):
     """``rotation_deviation`` with each probe input built as a basis state
     times the reservoir state, validated, evolved and compared on its own."""
     res_state, _ = coherent_state(ReservoirSpec("res", nbar), theta)
-    pulse = shared_operator(hamiltonian._rotation_pulse, nbar)
+    pulse = shared(hamiltonian._rotation_pulse, nbar)
     register = pulse.register
     probe = register.restricted(["probe"])
     ideal = number_rotation_matrix(np.pi / 4, theta)
@@ -722,11 +723,21 @@ class TestReservoirScan:
 
 
 def shared_swap_pulse(u_over_j):
-    return shared_operator(hamiltonian._swap_pulse, u_over_j)
+    return shared(hamiltonian._swap_pulse, u_over_j)
 
 
 def shared_rotation_pulse(nbar):
-    return shared_operator(hamiltonian._rotation_pulse, nbar)
+    return shared(hamiltonian._rotation_pulse, nbar)
+
+
+def rotation_gate_on(points):
+    register = build_register([("A", 2)])
+    return number_rotation_gate(register, "A", 0.3, PhaseGrid("big", points))
+
+
+def magnitude_register(cutoff):
+    """A coherent state's register: the one its cached magnitude table holds."""
+    return coherent_state(ReservoirSpec("res", 4.0, cutoff=cutoff), 0.3)[0].register
 
 
 class TestPulseCache:
@@ -787,8 +798,10 @@ class TestPulseCache:
 
     def test_pulse_past_size_limit_is_not_retained(self, built):
         kept, large = 7330.0, 7340.0
+        # A rotation pulse on 2c states holds 4c - 2 entries in its sector blocks.
         dims = [math.prod(d for _, d in rotation_modes(n)) for n in (kept, large)]
-        assert dims[0] <= fock.OPERATOR_CACHE_DIM < dims[1]
+        assert [2 * dim - 2 for dim in dims] == [32_746, 32_786]
+        assert 2 * dims[0] - 2 <= fock.CACHE_ENTRIES < 2 * dims[1] - 2
         rotation_deviation(kept)
         rotation_deviation(large)
         (_, kept_ref), (_, large_ref) = built
@@ -808,7 +821,7 @@ class TestPulseCache:
     @pytest.fixture
     def calls(self, monkeypatch):
         """Each pulse build and coherent state the scans ask for from here on, as (name, args)."""
-        monkeypatch.setattr(fock, "_operators", OrderedDict())  # no pulse comes cached
+        monkeypatch.setattr(fock, "_cache", OrderedDict())  # no pulse comes cached
         calls = []
         for name in ("_swap_pulse", "_rotation_pulse", "coherent_state"):
 
@@ -842,12 +855,45 @@ class TestPulseCache:
         ((_, pulse_ref),) = built
         assert pulse_ref() is not None
         filler = build_register([("filler", 2)])  # a label no other test caches
-        for k in range(fock.OPERATOR_CACHE_SIZE):
+        for k in range(fock.CACHE_SIZE):
             phase_gate(filler, "filler", 100.0 + k)
         gc.collect()
         assert pulse_ref() is None
         assert swap_process_fidelity(3.0).hex() == first.hex()
         assert [arg for arg, _ in built] == [3.0, 3.0]
+
+    def test_magnitude_tables_share_the_bound_with_gates_and_pulses(self, monkeypatch):
+        cache = OrderedDict()
+        monkeypatch.setattr(fock, "_cache", cache)
+        spec = ReservoirSpec("res", 4.0)
+        first = coherent_state(spec, 0.3)[0].data.tobytes()
+        swap_process_fidelity(3.0)
+        table, pulse = list(cache)
+        assert table[0] is reservoir._magnitudes and pulse[0] is hamiltonian._swap_pulse
+        filler = build_register([("filler", 2)])
+        for k in range(fock.CACHE_SIZE - 2):
+            phase_gate(filler, "filler", 100.0 + k)
+        assert len(cache) == fock.CACHE_SIZE and table in cache
+        phase_gate(filler, "filler", 99.0)  # the magnitude table is the oldest entry
+        assert len(cache) == fock.CACHE_SIZE and table not in cache and pulse in cache
+        phase_gate(filler, "filler", 98.0)
+        assert pulse not in cache
+        assert coherent_state(spec, 0.3)[0].data.tobytes() == first
+
+    @pytest.mark.parametrize(
+        "build, arg, kept",
+        [
+            (rotation_gate_on, 2**13, True),  # 4 entries a point: 32,768
+            (rotation_gate_on, 2**14, False),
+            (shared_rotation_pulse, 7330.0, True),  # cutoff 8,187: 32,746 entries
+            (shared_rotation_pulse, 7340.0, False),  # cutoff 8,197: 32,786
+            (magnitude_register, 2**14, True),  # n and the magnitudes: 32,768
+            (magnitude_register, 2**14 + 1, False),
+        ],
+        ids=["gate-2^13", "gate-2^14", "pulse-7330", "pulse-7340", "table-2^14", "table-2^14+1"],
+    )
+    def test_retention_at_the_size_rule_boundaries(self, build, arg, kept):
+        assert (build(arg) is build(arg)) is kept
 
     def test_retained_bytes_are_bounded(self):
         gc.collect()
@@ -859,5 +905,6 @@ class TestPulseCache:
         finally:
             tracemalloc.stop()
         # A pulse at the size limit, with its register's tables.
-        assert 0.99 * fock.OPERATOR_CACHE_DIM < pulse.register.dim <= fock.OPERATOR_CACHE_DIM
-        assert retained * fock.OPERATOR_CACHE_SIZE <= 40_000_000
+        entries = sum(block.size for block in pulse.blocks)
+        assert 0.99 * fock.CACHE_ENTRIES < entries <= fock.CACHE_ENTRIES
+        assert retained * fock.CACHE_SIZE <= 40_000_000

@@ -127,12 +127,12 @@ def test_refusal_raises_its_type_and_message(build, error, message):
 
 
 def test_structural_check_reports_a_wrong_amplitude_and_entropy(monkeypatch):
-    # With every application a no-op, the split pair stays |00>.
+    # With every application a no-op, the split pair stays |00>, a product state of +0.0 bits.
     monkeypatch.setattr(selftest, "embed_and_apply", lambda state, op, renormalize=False: state)
     result = selftest._structural_checks(16)
     assert not result.passed
     assert result.detail == (
-        "amplitude at (2, 0): 0j; amplitude at (1, 1): 0j; amplitude at (0, 2): 0j; entropy -0.0"
+        "amplitude at (2, 0): 0j; amplitude at (1, 1): 0j; amplitude at (0, 2): 0j; entropy 0.0"
     )
 
 

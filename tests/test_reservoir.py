@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
-from modeport import fock, reservoir
+from modeport import fock, hamiltonian, reservoir
 from modeport.fock import (
     PhaseGrid,
     QuantumState,
@@ -14,6 +15,7 @@ from modeport.fock import (
     ladder_operator,
     phase_average,
 )
+from modeport.gates import number_rotation_gate
 from modeport.reservoir import (
     ReservoirSpec,
     coherent_state,
@@ -295,16 +297,28 @@ def assert_matches_reference(spec, theta):
 
 
 def magnitudes_of(spec):
-    return reservoir._magnitudes(fock._exact_key((spec.label, spec.nbar, spec.cutoff)))
+    return fock.shared(reservoir._magnitudes, spec.label, spec.nbar, spec.cutoff)
+
+
+@pytest.fixture
+def cache(monkeypatch):
+    """The package's one cache, empty for this test."""
+    cache = OrderedDict()
+    monkeypatch.setattr(fock, "_cache", cache)
+    return cache
+
+
+def magnitude_tables(cache):
+    """The cache's keys of magnitude tables, named by the build in each key."""
+    return [key for key in cache if key[0] is reservoir._magnitudes]
 
 
 class TestMagnitudeCache:
-    # 20000 has 21,415 occupations, past OPERATOR_CACHE_DIM, so it is never kept.
+    # 20000 has 21,415 occupations, 42,830 entries past CACHE_ENTRIES, so it is never kept.
     NBARS = [1e-4, 4.0, 64.0, 256.0, 20000.0]
     THETAS = [0.0, 0.3, -2.5, 1e300]
 
-    def test_equals_reference_cold_warm_and_alternating(self):
-        reservoir._magnitudes.cache_clear()
+    def test_equals_reference_cold_warm_and_alternating(self, cache):
         specs = [ReservoirSpec("res", nbar) for nbar in self.NBARS]
         for spec in specs:  # the first theta of each spec finds the cache cold
             for theta in self.THETAS:
@@ -314,9 +328,9 @@ class TestMagnitudeCache:
                 assert_matches_reference(spec, theta)
         for k in range(12):  # kept and unkept specs in turn, thetas cycling
             assert_matches_reference(specs[[1, 4, 3, 0][k % 4]], self.THETAS[k % 3])
-        assert reservoir._magnitudes.cache_info().currsize == 4
+        assert len(magnitude_tables(cache)) == len(cache) == 4
 
-    def test_cached_arrays_are_read_only_and_not_aliased(self):
+    def test_cached_arrays_are_read_only_and_not_aliased(self, cache):
         spec = ReservoirSpec("res", 64.0)
         states = [coherent_state(spec, theta)[0] for theta in (0.0, 0.0, 1.1)]
         register, n, magnitudes = magnitudes_of(spec)
@@ -329,26 +343,19 @@ class TestMagnitudeCache:
             assert not any(np.shares_memory(state.data, array) for state in states)
         assert not np.shares_memory(states[0].data, states[1].data)
 
-    def test_spec_past_size_rule_is_not_retained(self):
-        limit = fock.OPERATOR_CACHE_DIM
-        reservoir._magnitudes.cache_clear()
+    def test_spec_past_size_rule_is_not_retained(self, cache):
+        limit = 2**14  # n and the magnitudes: 2 * 2**14 entries
+        assert 2 * limit == fock.CACHE_ENTRIES
         assert ReservoirSpec("res", 20000.0).cutoff > limit
         for spec in (ReservoirSpec("res", 20000.0), ReservoirSpec("res", 4.0, cutoff=limit + 1)):
             for _ in range(2):
                 assert_matches_reference(spec, 0.3)
-        info = reservoir._magnitudes.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+            assert magnitudes_of(spec)[2] is not magnitudes_of(spec)[2]
+        assert len(cache) == 0
         assert_matches_reference(ReservoirSpec("res", 4.0, cutoff=limit), 0.3)
-        assert reservoir._magnitudes.cache_info().currsize == 1
+        assert len(magnitude_tables(cache)) == len(cache) == 1
 
-    def test_cache_holds_at_most_eight_specs(self):
-        reservoir._magnitudes.cache_clear()
-        for k in range(12):
-            coherent_state(ReservoirSpec("res", 1.0 + k), 0.3)
-        assert reservoir._magnitudes.cache_info().currsize == 8
-
-    def test_float32_and_int_nbar_get_their_own_entries(self):
-        reservoir._magnitudes.cache_clear()
+    def test_float32_and_int_nbar_get_their_own_entries(self, cache):
         specs = [
             ReservoirSpec("res", 4.0),
             ReservoirSpec("res", np.float32(4.0)),
@@ -358,4 +365,44 @@ class TestMagnitudeCache:
         for spec in specs + specs[::-1]:
             for theta in (0.3, -2.5):
                 assert_matches_reference(spec, theta)
-        assert reservoir._magnitudes.cache_info().currsize == 3
+        assert len(magnitude_tables(cache)) == len(cache) == 3
+
+
+def split_register():
+    return build_register([("A", 3), ("B", 3)])
+
+
+SHARED_ARRAYS = {
+    "occupations": lambda: split_register().occupations,
+    "total_numbers": lambda: split_register().total_numbers,
+    "sector-size-1": lambda: split_register().sectors[0],
+    "sector-size-2": lambda: split_register().sectors[1],
+    "sector-size-3": lambda: split_register().sectors[2],
+    "readout-groups": lambda: split_register().readout(["B"])[2],
+    "grid-points": lambda: PhaseGrid("th", 8).points,
+    "gate-matrix": lambda: number_rotation_gate(
+        build_register([("A", 2)]), "A", 0.3, PhaseGrid("th", 8)
+    ).matrix,
+    "pulse-block": lambda: fock.shared(hamiltonian._rotation_pulse, 9.0).blocks[-1],
+    "magnitudes-n": lambda: magnitudes_of(ReservoirSpec("res", 9.0))[1],
+    "magnitudes": lambda: magnitudes_of(ReservoirSpec("res", 9.0))[2],
+}
+
+
+@pytest.mark.parametrize("name", SHARED_ARRAYS)
+def test_every_shared_array_is_read_only(name):
+    array = SHARED_ARRAYS[name]()
+    first = (0,) * array.ndim
+    with pytest.raises(ValueError, match="read-only"):
+        array[first] = array[first]  # a write of the value it holds
+
+
+def test_register_tables_cannot_be_rewritten_to_hide_a_number_superposition():
+    reg = build_register([("m", 2)])
+    state = from_amplitudes(reg, {(0,): 1.0, (1,): 1.0}, normalize=True)
+    before = ssr_compliance_check(state)
+    assert not before.compliant and abs(before.max_offblock_norm - 0.5) < 1e-15
+    # Writable, this zeroing made the check read the N = 0, 1 superposition as one sector.
+    with pytest.raises(ValueError, match="read-only"):
+        reg.total_numbers[:] = 0
+    assert ssr_compliance_check(state) == before
