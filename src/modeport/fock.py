@@ -613,21 +613,6 @@ def _modes_last(register: ModeRegister, sub: ModeRegister) -> list[int]:
     return [p for p in range(register.n_modes) if p not in positions] + positions
 
 
-def _permute_modes(
-    data: np.ndarray, dims: Sequence[int], order: Sequence[int], copies: int
-) -> np.ndarray:
-    """Reorder the modes inside each of the last ``copies`` basis axes of ``data``.
-
-    Each basis axis is viewed as one axis per mode (sizes ``dims``), the mode
-    axes are put in ``order`` and merged back, so the shape is unchanged.
-    """
-    lead = data.ndim - copies
-    n = len(dims)
-    split = data.reshape(data.shape[:lead] + tuple(dims) * copies)
-    axes = [*range(lead), *(lead + c * n + p for c in range(copies) for p in order)]
-    return split.transpose(axes).reshape(data.shape)
-
-
 def embed_matrix(
     register: ModeRegister, op_register: ModeRegister, matrix: np.ndarray
 ) -> np.ndarray:
@@ -638,8 +623,11 @@ def embed_matrix(
     order = _modes_last(register, op_register)
     eye = np.eye(register.dim // op_register.dim)
     big = np.einsum("...ij,kl->...kilj", matrix, eye)
-    big = big.reshape(matrix.shape[:-2] + (register.dim, register.dim))
-    return _permute_modes(big, [register.dims[p] for p in order], np.argsort(order), 2)
+    # Split each basis axis into modes in ``order``, then put them back in register order.
+    lead, n = matrix.ndim - 2, register.n_modes
+    big = big.reshape(matrix.shape[:-2] + tuple(register.dims[p] for p in order) * 2)
+    axes = [lead + c * n + order.index(p) for c in range(2) for p in range(n)]
+    return big.transpose([*range(lead), *axes]).reshape(matrix.shape[:-2] + (register.dim,) * 2)
 
 
 def _apply_blocks(op: LinearOperator, data: np.ndarray, conj: bool = False) -> np.ndarray:
@@ -764,10 +752,12 @@ def partial_trace(state: QuantumState, keep: Sequence[str]) -> QuantumState:
 
     A pure state is contracted with its conjugate directly, so the full
     density matrix is never formed and the register may have any number of
-    modes.  It is copied into (untouched modes, kept modes, grid points) so
-    that einsum's inner loop runs over the grid points; each entry is still
-    one sum over the untouched modes in the same order, so no bit moves.  The
-    result is returned in C order, on which later grid means depend.
+    modes.  Pure and density states share one layout: each basis axis (one
+    or two) is split into modes and copied into (untouched modes, kept modes),
+    then the grid points, so that einsum's inner loop runs over the grid
+    points.  Each entry is still one sum over the untouched modes in the same
+    order, so no bit moves.  Both are returned in C order, on which later
+    grid means depend.
     """
     keep = list(keep)
     if not keep:
@@ -777,18 +767,18 @@ def partial_trace(state: QuantumState, keep: Sequence[str]) -> QuantumState:
     register = state.register
     sub = register.restricted(keep)
     order = _modes_last(register, sub)
-    n_grid = len(state.grids)
+    n_grid, n = len(state.grids), register.n_modes
+    copies = 1 if state.is_pure else 2
+    split = state.data.reshape(state.grid_shape + register.dims * copies)
+    axes = [n_grid + c * n + p for c in range(copies) for p in order]
+    x = split.transpose(axes + list(range(n_grid)))
+    x = x.reshape((register.dim // sub.dim, sub.dim) * copies + (-1,))
     if state.is_pure:
-        split = state.data.reshape(state.grid_shape + register.dims)
-        x = split.transpose([n_grid + p for p in order] + list(range(n_grid)))
-        x = x.reshape(register.dim // sub.dim, sub.dim, -1)
         reduced = np.einsum("rig,rjg->ijg", x, x.conj())
-        reduced = np.ascontiguousarray(reduced.transpose(2, 0, 1))
-        reduced = reduced.reshape(state.grid_shape + (sub.dim, sub.dim))
     else:
-        data = _permute_modes(state.data, register.dims, order, 2)
-        data = data.reshape(state.grid_shape + (register.dim // sub.dim, sub.dim) * 2)
-        reduced = np.einsum("...rirj->...ij", data)
+        reduced = np.einsum("rirjg->ijg", x)
+    reduced = np.ascontiguousarray(reduced.transpose(2, 0, 1))
+    reduced = reduced.reshape(state.grid_shape + (sub.dim, sub.dim))
     return QuantumState(
         sub, reduced, grids=state.grids, fourier_order=state.fourier_order
     )
@@ -822,6 +812,8 @@ def phase_average(
     for symbol in symbols:
         if symbol not in state.phase_symbols:
             raise ValueError(f"state does not carry phase symbol {symbol!r}")
+    if len(set(symbols)) != len(symbols):
+        raise ValueError("symbols repeat a phase symbol")
     if not state.grids:
         return state.to_density()
     axes = tuple(state.phase_symbols.index(s) for s in symbols)

@@ -16,7 +16,6 @@ from modeport.fock import (
     QuantumState,
     _expand_axes,
     _modes_last,
-    _permute_modes,
     basis_state,
     build_register,
     embed_and_apply,
@@ -169,24 +168,37 @@ def test_random_gate_sequences_match_oracle_and_keep_norm(circuit):
     assert added_symbol
 
 
+def permute_modes(data, dims, order, copies):
+    """Reorder the modes inside each of the last ``copies`` basis axes of ``data``.
+
+    Each basis axis is viewed as one axis per mode (sizes ``dims``), the mode
+    axes are put in ``order`` and merged back, so the shape is unchanged.
+    """
+    lead = data.ndim - copies
+    n = len(dims)
+    split = data.reshape(data.shape[:lead] + tuple(dims) * copies)
+    axes = [*range(lead), *(lead + c * n + p for c in range(copies) for p in order)]
+    return split.transpose(axes).reshape(data.shape)
+
+
 def targets_last_apply(state, gate, symbols):
     """Pure-state gate application as one einsum with the gate's modes last."""
     register = state.register
     order = _modes_last(register, gate.register)
     mat = _expand_axes(gate.matrix, gate.phase_symbols, symbols)
     data = _expand_axes(state.data, state.phase_symbols, symbols)
-    data = _permute_modes(data, register.dims, order, 1)
+    data = permute_modes(data, register.dims, order, 1)
     data = data.reshape(data.shape[: len(symbols)] + (-1, gate.register.dim))
     out = np.einsum("...ij,...rj->...ri", mat, data)
     out = out.reshape(out.shape[: len(symbols)] + (register.dim,))
-    return _permute_modes(out, [register.dims[p] for p in order], np.argsort(order), 1)
+    return permute_modes(out, [register.dims[p] for p in order], np.argsort(order), 1)
 
 
 def targets_last_partial_trace(state, keep):
     """Pure-state partial trace as one einsum with the kept modes last."""
     register = state.register
     sub = register.restricted(keep)
-    data = _permute_modes(state.data, register.dims, _modes_last(register, sub), 1)
+    data = permute_modes(state.data, register.dims, _modes_last(register, sub), 1)
     data = data.reshape(state.grid_shape + (-1, sub.dim))
     return np.einsum("...ri,...rj->...ij", data, data.conj())
 

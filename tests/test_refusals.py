@@ -20,6 +20,7 @@ from modeport.fock import (
     from_amplitudes,
     measure_number,
     partial_trace,
+    phase_average,
 )
 from modeport.hamiltonian import HamiltonianParams
 from modeport.protocol import (
@@ -76,6 +77,14 @@ REFUSALS = [
         lambda: partial_trace(basis_state(PAIR, (0, 0)), ["a", "a"]),
         ValueError,
         "keep repeats a mode label",
+    ),
+    (
+        lambda: phase_average(
+            QuantumState(PAIR, np.full((4, 4), 0.5), grids=(GRID,), fourier_order=(0,)),
+            symbols=["theta", "theta"],
+        ),
+        ValueError,
+        "symbols repeat a phase symbol",
     ),
     (omitted_outcome, KeyError, "outcome (1,) not present (probability below floor?)"),
     (lambda: measure_number(basis_state(PAIR, (0, 0)), []), ValueError, "measure at least one mode"),

@@ -9,7 +9,8 @@ and grid bookkeeping against fresh computations.  Random pure and density
 circuits go through both; arrays must match in bytes and memory layout, and
 scalars in their hex digits.  The reference measurement gathers its groups by
 a plain comparison per outcome, against which the register's readout table
-is also checked.
+is also checked.  The density partial trace and the embedding are checked
+against their rules as written with one generic mode permutation.
 """
 
 import re
@@ -30,10 +31,12 @@ from modeport.fock import (
     _expand_axes,
     _maybe_scalar,
     _merge_grids,
+    _modes_last,
     _psd_sqrt,
     _check_grids,
     basis_state,
     embed_and_apply,
+    embed_matrix,
     fidelity,
     ladder_operator,
     measure_number,
@@ -46,6 +49,7 @@ from test_gate_properties import (
     build_gate,
     circuits,
     measured_circuits,
+    permute_modes,
     qubit_register,
     random_start,
 )
@@ -470,3 +474,98 @@ def reference_union(a_grids, a_orders, b_grids, b_orders):
 def test_merge_with_an_empty_side_equals_the_reference_union(grids, orders):
     for args in ((grids, orders, (), ()), ((), (), grids, orders)):
         assert _merge_grids(*args) == reference_union(*args)
+
+
+def reference_density_trace(state, keep):
+    """Density ``partial_trace`` as one diagonal sum over a copy with every mode
+    reordered, untouched first: its rule before pure and density states shared a layout."""
+    register = state.register
+    sub = register.restricted(keep)
+    data = permute_modes(state.data, register.dims, _modes_last(register, sub), 2)
+    data = data.reshape(state.grid_shape + (register.dim // sub.dim, sub.dim) * 2)
+    return np.einsum("...rirj->...ij", data)
+
+
+def reference_embed_matrix(register, op_register, matrix):
+    """``embed_matrix`` as written with the generic mode permutation."""
+    order = _modes_last(register, op_register)
+    eye = np.eye(register.dim // op_register.dim)
+    big = np.einsum("...ij,kl->...kilj", matrix, eye)
+    big = big.reshape(matrix.shape[:-2] + (register.dim, register.dim))
+    return permute_modes(big, [register.dims[p] for p in order], np.argsort(order), 2)
+
+
+def random_unitary(rng, shape, dim):
+    z = rng.standard_normal(shape + (dim, dim, 2)) @ [1.0, 1j]
+    return np.linalg.qr(z)[0]
+
+
+@st.composite
+def registers(draw):
+    cutoffs = draw(st.lists(st.integers(2, 3), min_size=1, max_size=5))
+    return ModeRegister((f"m{i}", d) for i, d in enumerate(cutoffs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    register=registers(),
+    n_grids=st.integers(0, 2),
+    zeros=st.booleans(),
+    gates=st.integers(0, 2),
+    measure=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_density_partial_trace_matches_its_reference_bit_for_bit(
+    register, n_grids, zeros, gates, measure, seed, data
+):
+    # A mixture of two random pure states, maybe with exact zeros, then the
+    # layouts the protocol hands to the trace: gates on one or two modes,
+    # which may add a grid, and a measurement's conditional state.
+    rng = np.random.default_rng(seed)
+    pool = [PhaseGrid(s, int(rng.integers(2, 4))) for s in ("alpha", "zeta")]
+    grids = pool[:n_grids]
+    first, other = (random_start(register, grids, rng) for _ in range(2))
+    rho = 0.75 * first.density_data() + 0.25 * other.density_data()
+    if zeros:
+        # Whole rows and columns set to zeros that keep their entries' signs.
+        mask = rng.integers(0, 2, register.dim).astype(float)
+        mask[rng.integers(register.dim)] = 1.0
+        rho = rho * np.outer(mask, mask)
+        rho = rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+    state = QuantumState(register, rho, grids, [0] * n_grids)
+    labels = list(register.labels)
+    for _ in range(gates):
+        targets = data.draw(st.permutations(labels))
+        targets = targets[: data.draw(st.integers(1, min(2, len(labels))))]
+        sub = ModeRegister((label, register.dims[register.position(label)]) for label in targets)
+        on = data.draw(st.sampled_from([[], pool[:1], pool[1:]]))
+        matrix = random_unitary(rng, tuple(g.n_points for g in on), sub.dim)
+        op = LinearOperator(sub, matrix, kind="unitary", grids=on, fourier_order=[0] * len(on))
+        state = embed_and_apply(state, op)
+    if measure and len(labels) > 1:
+        measured = data.draw(st.permutations(labels))
+        measured = measured[: data.draw(st.integers(1, len(labels) - 1))]
+        state = data.draw(st.sampled_from(list(measure_number(state, measured)))).state
+
+    keep = data.draw(st.permutations(list(state.register.labels)))
+    keep = keep[: data.draw(st.integers(1, len(keep)))]
+    reduced = partial_trace(state, keep).data
+    want = reference_density_trace(state, keep)
+    assert reduced.flags.c_contiguous
+    assert (reduced.shape, reduced.tobytes()) == (want.shape, want.tobytes())
+
+
+@settings(max_examples=40, deadline=None)
+@given(register=registers(), leading=st.integers(0, 2), zeros=st.booleans(), data=st.data())
+def test_embedding_matches_its_reference_bit_for_bit(register, leading, zeros, data):
+    targets = data.draw(st.permutations(list(register.labels)))
+    targets = targets[: data.draw(st.integers(1, min(3, len(targets))))]
+    sub = ModeRegister((label, register.dims[register.position(label)]) for label in targets)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    matrix = random_unitary(rng, (2,) * leading, sub.dim)
+    if zeros:
+        matrix = matrix * rng.integers(0, 2, matrix.shape)
+    assert_same_array(
+        embed_matrix(register, sub, matrix), reference_embed_matrix(register, sub, matrix)
+    )
