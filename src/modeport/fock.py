@@ -19,6 +19,7 @@ angle as a Fourier order and checked whenever an average is taken.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from collections import OrderedDict
@@ -280,6 +281,30 @@ def _require_exact_average(grids: Sequence[PhaseGrid], orders: Sequence[int]) ->
             )
 
 
+def _qubit_density_passes(rho: np.ndarray) -> bool:
+    """True if every 2x2 density in ``rho`` has |Im rho00|, |Im rho11| <= HERM_ATOL/4,
+    |rho01 - conj(rho10)| <= HERM_ATOL/2 and lower-triangle LDL^H pivots of
+    rho + sI, s = |MIN_EIGVAL|/2, of at least 1e-13.  Then lambda_min >= -s with
+    rounding far below every margin, so the Hermiticity test and the
+    Cholesky-or-eigvalsh rule accept it too.  False decides nothing."""
+    s = 0.5 * abs(MIN_EIGVAL)
+    if rho.ndim == 2:
+        (a, b), (c, e) = rho.tolist()
+        holds, quiet = bool, contextlib.nullcontext()
+    else:
+        a, b, c, e = rho[..., 0, 0], rho[..., 0, 1], rho[..., 1, 0], rho[..., 1, 1]
+        # Overflow and inf - inf stay silent here; the checks run after a False report them.
+        holds, quiet = np.ndarray.all, np.errstate(all="ignore")
+    with quiet:
+        # Sums of squares, not abs: Python's complex abs raises OverflowError past 1.8e308.
+        d = b - c.conjugate()
+        p1 = a.real + s
+        ok = (abs(a.imag) <= HERM_ATOL / 4) & (abs(e.imag) <= HERM_ATOL / 4) & (p1 >= 1e-13)
+        ok = ok & (d.real * d.real + d.imag * d.imag <= HERM_ATOL**2 / 4)
+        # p1 is tested before the division: at 0 a Python float raises, numpy warns.
+        return holds(ok) and holds((e.real + s) - (c.real * c.real + c.imag * c.imag) / p1 >= 1e-13)
+
+
 class QuantumState:
     """Pure vector or density matrix over a register's Fock basis.
 
@@ -291,6 +316,11 @@ class QuantumState:
     impossible at some grid point may store the zero vector (zero matrix)
     there instead, but not at every point.  ``fourier_order`` holds one
     amplitude Fourier order per grid.
+
+    A one-qubit density is first screened in closed form
+    (``_qubit_density_passes``); what that does not accept goes on to the
+    Hermiticity test and shifted-Cholesky PSD screen every larger density
+    runs, so each verdict and message is theirs.
 
     Treat instances as immutable; operations return new states.
     """
@@ -386,6 +416,8 @@ class QuantumState:
         if top < PROB_FLOOR:
             raise ValueError(f"state {what} is 0 at every grid point")
         if not self.is_pure:
+            if self.register.dim == 2 and _qubit_density_passes(self.data):
+                return
             herm = np.abs(self.data - self.data.swapaxes(-1, -2).conj()).max()
             if not herm <= HERM_ATOL:
                 raise ValueError(f"density matrix not Hermitian: deviation {herm:.3e}")
@@ -753,11 +785,14 @@ def partial_trace(state: QuantumState, keep: Sequence[str]) -> QuantumState:
     A pure state is contracted with its conjugate directly, so the full
     density matrix is never formed and the register may have any number of
     modes.  Pure and density states share one layout: each basis axis (one
-    or two) is split into modes and copied into (untouched modes, kept modes),
+    or two) is split into modes and laid out as (untouched modes, kept modes),
     then the grid points, so that einsum's inner loop runs over the grid
-    points.  Each entry is still one sum over the untouched modes in the same
-    order, so no bit moves.  Both are returned in C order, on which later
-    grid means depend.
+    points.  With more than one grid point that layout is a C-order copy, even
+    where the reshape could be a strided view (kept modes ending the register
+    in its own order); a grid-free trace reads the view, where the copy would
+    cost more than it saves.  Each entry is still one sum over the untouched
+    modes in the same order, so no bit moves.  Both are returned in C order,
+    on which later grid means depend.
     """
     keep = list(keep)
     if not keep:
@@ -773,6 +808,8 @@ def partial_trace(state: QuantumState, keep: Sequence[str]) -> QuantumState:
     axes = [n_grid + c * n + p for c in range(copies) for p in order]
     x = split.transpose(axes + list(range(n_grid)))
     x = x.reshape((register.dim // sub.dim, sub.dim) * copies + (-1,))
+    if x.shape[-1] > 1:
+        x = np.ascontiguousarray(x)
     if state.is_pure:
         reduced = np.einsum("rig,rjg->ijg", x, x.conj())
     else:

@@ -9,8 +9,8 @@ and grid bookkeeping against fresh computations.  Random pure and density
 circuits go through both; arrays must match in bytes and memory layout, and
 scalars in their hex digits.  The reference measurement gathers its groups by
 a plain comparison per outcome, against which the register's readout table
-is also checked.  The density partial trace and the embedding are checked
-against their rules as written with one generic mode permutation.
+is also checked.  The partial trace, pure and density, and the embedding are
+checked against their rules as written with one generic mode permutation.
 """
 
 import re
@@ -552,6 +552,78 @@ def test_density_partial_trace_matches_its_reference_bit_for_bit(
     keep = keep[: data.draw(st.integers(1, len(keep)))]
     reduced = partial_trace(state, keep).data
     want = reference_density_trace(state, keep)
+    assert reduced.flags.c_contiguous
+    assert (reduced.shape, reduced.tobytes()) == (want.shape, want.tobytes())
+
+
+def reference_pure_trace(state, keep):
+    """Pure ``partial_trace`` as one product of the mode-reordered amplitudes,
+    untouched modes first, with their conjugate, grid points leading."""
+    register = state.register
+    sub = register.restricted(keep)
+    data = permute_modes(state.data, register.dims, _modes_last(register, sub), 1)
+    data = data.reshape(state.grid_shape + (register.dim // sub.dim, sub.dim))
+    return np.einsum("...ri,...rj->...ij", data, data.conj())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    register=registers(),
+    n_grids=st.integers(0, 2),
+    suffix=st.booleans(),
+    gates=st.integers(0, 2),
+    measure=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_pure_partial_trace_matches_its_reference_bit_for_bit(
+    register, n_grids, suffix, gates, measure, seed, data
+):
+    # Random amplitudes, the gates and measurement branches of the density
+    # test, then a kept set.  Kept modes that end the register in its own
+    # order (a suffix) make the (untouched, kept, grid) reshape a strided
+    # view rather than a copy: the layout of the protocol's trace of B.
+    rng = np.random.default_rng(seed)
+    pool = [PhaseGrid(s, int(rng.integers(2, 5))) for s in ("alpha", "zeta")]
+    state = random_start(register, pool[:n_grids], rng)
+    labels = list(register.labels)
+    for _ in range(gates):
+        targets = data.draw(st.permutations(labels))
+        targets = targets[: data.draw(st.integers(1, min(2, len(labels))))]
+        sub = ModeRegister((label, register.dims[register.position(label)]) for label in targets)
+        on = data.draw(st.sampled_from([[], pool[:1], pool[1:]]))
+        matrix = random_unitary(rng, tuple(g.n_points for g in on), sub.dim)
+        op = LinearOperator(sub, matrix, kind="unitary", grids=on, fourier_order=[0] * len(on))
+        state = embed_and_apply(state, op)
+    if measure and len(labels) > 1:
+        measured = data.draw(st.permutations(labels))
+        measured = measured[: data.draw(st.integers(1, len(labels) - 1))]
+        state = data.draw(st.sampled_from(list(measure_number(state, measured)))).state
+
+    labels = list(state.register.labels)
+    count = data.draw(st.integers(1, len(labels)))
+    keep = labels[-count:] if suffix else data.draw(st.permutations(labels))[:count]
+    reduced = partial_trace(state, keep).data
+    want = reference_pure_trace(state, keep)
+    assert reduced.flags.c_contiguous
+    assert (reduced.shape, reduced.tobytes()) == (want.shape, want.tobytes())
+
+
+@pytest.mark.parametrize(
+    "dims, points, keep",
+    [
+        ((2, 2, 2), (256,), ["m2"]),  # the protocol's trace of B after the Bell analysis
+        ((2, 2, 2), (16, 16), ["m2"]),
+        ((2, 3, 2, 2), (4,), ["m2", "m3"]),
+        ((3, 2), (5, 3), ["m1"]),
+    ],
+)
+def test_pure_traces_of_strided_views_match_the_reference_bit_for_bit(dims, points, keep):
+    register = ModeRegister((f"m{i}", d) for i, d in enumerate(dims))
+    grids = [PhaseGrid(s, n) for s, n in zip(("alpha", "zeta"), points)]
+    state = random_start(register, grids, np.random.default_rng(len(dims) + sum(points)))
+    reduced = partial_trace(state, keep).data
+    want = reference_pure_trace(state, keep)
     assert reduced.flags.c_contiguous
     assert (reduced.shape, reduced.tobytes()) == (want.shape, want.tobytes())
 
