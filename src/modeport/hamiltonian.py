@@ -93,9 +93,10 @@ def build_hamiltonian(
 
     Every nonzero coupling must reference modes present in the register.
     Each term is scattered straight into the blocks of ``register.sectors``,
-    so no dim x dim matrix is formed; a term entry between two total-number
-    sectors is rejected, and Hermiticity is checked block by block.  Block
-    storage past ``BYTES_BUDGET`` is refused before it is allocated.
+    so no dim x dim matrix is formed.  No term leaves its sector: U and E are
+    diagonal, and a hop moves one particle between two modes.  Hermiticity is
+    checked block by block, and block storage past ``BYTES_BUDGET`` is
+    refused before it is allocated.
     """
     entries = sum(idx.size * idx.shape[1] for idx in register.sectors)
     if 16 * entries > BYTES_BUDGET:
@@ -112,13 +113,6 @@ def build_hamiltonian(
         col[idx] = np.arange(size)
         offset += idx.size * size
 
-    def add(dst: np.ndarray, src: np.ndarray, values: np.ndarray) -> None:
-        crossing = register.total_numbers[dst] != register.total_numbers[src]
-        if crossing.any():
-            leak = np.abs(values[crossing]).max()
-            raise ValueError(f"Hamiltonian changes particle number: off-sector entry {leak:.3e}")
-        flat[row[dst] + col[src]] += values
-
     def add_hop(coupling: float, left: str, right: str) -> None:
         """Add -coupling/2 (a_left^+ a_right + h.c.)."""
         l, r = register.position(left), register.position(right)
@@ -127,19 +121,19 @@ def build_hamiltonian(
         stride = [int(np.prod(register.dims[p + 1 :], initial=1)) for p in (l, r)]
         dst = src + stride[0] - stride[1]
         values = -0.5 * coupling * (np.sqrt(occ[src, l] + 1.0) * np.sqrt(occ[src, r]))
-        add(dst, src, values)
-        add(src, dst, values)
+        flat[row[dst] + col[src]] += values
+        flat[row[src] + col[dst]] += values
 
     for (left, right), coupling in params.hops.items():
         if coupling != 0.0:
             add_hop(coupling, left, right)
-    diagonal = np.arange(register.dim)
+    diagonal = row + col
     for label, u_i in params.u.items():
         n = register.occupations[:, register.position(label)]
-        add(diagonal, diagonal, u_i * (n * n - n))
+        flat[diagonal] += u_i * (n * n - n)
     for label, e_i in params.e.items():
         n = register.occupations[:, register.position(label)]
-        add(diagonal, diagonal, e_i * n)
+        flat[diagonal] += e_i * n
     return LinearOperator(register, blocks=blocks, kind="hermitian")
 
 

@@ -91,7 +91,7 @@ def ssr_compliance_check(state: QuantumState) -> SsrReport:
         )
     n = state.register.total_numbers
     offsector = n[:, None] != n
-    max_off = float(np.abs(state.density_data()[offsector]).max()) if offsector.any() else 0.0
+    max_off = float(np.abs(state.density_data()[offsector]).max())
     return SsrReport(compliant=max_off <= SSR_ATOL, max_offblock_norm=max_off)
 
 

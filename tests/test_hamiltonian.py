@@ -722,6 +722,35 @@ class TestReservoirScan:
             reservoir_resolved_rotation([4.0, math.inf])
 
 
+# 60-digit mpmath references (ROADMAP items 14 and 2), each with a relative
+# bound a few times the scan's error today; a more accurate scan only tightens them.
+# U/J -> (1 - F, bound).
+HARDCORE_REFERENCE = {
+    1.0: (0.20008426527690676, 2e-13),
+    10.0: (0.0067145991114845988, 2e-13),
+    100.0: (6.1745382110338247e-5, 2e-11),
+    1000.0: (6.1685631667396264e-7, 2e-9),
+    1001.0: (1.6136088394887464e-6, 2e-9),
+}
+# nbar -> (deviation * nbar, bound).
+RESERVOIR_REFERENCE = {
+    1e4: (0.507301612956146, 1e-10),
+    1e5: (0.507310438818315, 2e-9),
+}
+
+
+class TestReferenceAccuracy:
+    def test_hardcore_scan_within_bounds_of_reference(self):
+        for ratio, infidelity in hardcore_limit_scan(sorted(HARDCORE_REFERENCE)):
+            want, bound = HARDCORE_REFERENCE[ratio]
+            assert abs(infidelity - want) <= bound * want, ratio
+
+    def test_reservoir_scan_within_bounds_of_reference(self):
+        for nbar, deviation in reservoir_resolved_rotation(sorted(RESERVOIR_REFERENCE)):
+            want, bound = RESERVOIR_REFERENCE[nbar]
+            assert abs(deviation * nbar - want) <= bound * want, nbar
+
+
 def shared_swap_pulse(u_over_j):
     return shared(hamiltonian._swap_pulse, u_over_j)
 

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modeport.cli import main
 from modeport.fock import (
@@ -216,6 +218,30 @@ class TestTeleportation:
         result = run_teleportation(UnknownStateSpec(np.pi / 4, 0.9))
         assert result.failure_fidelity_mean <= 0.75 + 1e-9
         assert result.failure_fidelity_mean == pytest.approx(0.5, abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        theta_prime=st.floats(0.0, np.pi / 2),
+        phi=st.floats(0.0, 2 * np.pi, exclude_max=True),
+    )
+    def test_failure_branch_closed_forms(self, theta_prime, phi):
+        # Mode B after a failed readout holds the input's populations swapped,
+        # at fidelity 1/2 sin^2 2 theta' with the input.  The shared
+        # configuration's per-outcome fidelities depend on phi, so only the
+        # distinct configuration's are pinned.
+        s, c = np.sin(theta_prime), np.cos(theta_prime)
+        want = 0.5 * np.sin(2 * theta_prime) ** 2
+        for config in ("shared", "distinct"):
+            result = run_teleportation(UnknownStateSpec(theta_prime, phi), config, 16)
+            np.testing.assert_allclose(
+                result.failure_mode_b.data, np.diag([s * s, c * c]), rtol=0, atol=1e-12
+            )
+            assert abs(result.failure_fidelity_mean - want) <= 1e-12
+            if config == "distinct":
+                failures = [r for r in result.outcomes if r.status == FAILED_STATUS]
+                assert len(failures) == 2
+                for rec in failures:
+                    assert abs(rec.fidelity_mean - want) <= 1e-12
 
     def test_bloch_identity_on_cardinal_states(self):
         # The success branches implement the identity map (after correction)

@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from modeport import cli, selftest
+from modeport import cli, fock, selftest
 from modeport.fock import (
     LinearOperator,
     ModeRegister,
@@ -160,6 +160,16 @@ def test_structural_check_reports_a_twirl_residual(monkeypatch):
     result = selftest._structural_checks(16)
     assert not result.passed and len(calls) == 2
     assert re.fullmatch(r"twirl idempotence residual \d\.\d{3}e-12", result.detail)
+
+
+def test_measurement_probabilities_off_the_state_norm_are_reported(monkeypatch):
+    # Every mode is measured, so no conditional state checks the scaled weights first.
+    branch = fock._branch_probability
+    monkeypatch.setattr(fock, "_branch_probability", lambda data, pure: 1.01 * branch(data, pure))
+    with pytest.raises(AssertionError) as info:
+        measure_number(basis_state(PAIR, (0, 1)), ["a", "b"])
+    assert type(info.value) is AssertionError
+    assert info.value.args == ("measurement probabilities do not sum to the state norm",)
 
 
 def test_config_file_blank_lines_are_skipped(tmp_path):

@@ -111,6 +111,27 @@ class TestBlockBuild:
                 np.testing.assert_array_equal(block, want)
             np.testing.assert_array_equal(h.matrix, dense)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=st.lists(st.integers(2, 4), min_size=2, max_size=4),
+        data=st.data(),
+    )
+    def test_any_hops_and_diagonal_terms_equal_dense_build(self, dims, data):
+        # No term type the builder accepts crosses a total-number sector: hops
+        # on any ordered pair, both directions and zero couplings included.
+        reg = build_register([(f"m{i}", d) for i, d in enumerate(dims)])
+        labels = st.sampled_from(reg.labels)
+        energy = st.floats(-3.0, 3.0)
+        pairs = st.tuples(labels, labels).filter(lambda pair: pair[0] != pair[1])
+        params = HamiltonianParams(
+            hops=data.draw(st.dictionaries(pairs, st.just(0.0) | energy, max_size=6)),
+            u=data.draw(st.dictionaries(labels, energy)),
+            e=data.draw(st.dictionaries(labels, energy)),
+        )
+        dense = dense_hamiltonian(reg, params)
+        assert np.all(dense[reg.total_numbers[:, None] != reg.total_numbers] == 0.0)
+        np.testing.assert_array_equal(build_hamiltonian(reg, params).matrix, dense)
+
     def test_non_hermitian_block_rejected(self):
         reg = build_register([("A", 2), ("B", 2)])
         blocks = [np.zeros((len(t),) + t.shape[1:] * 2) for t in reg.sectors]
